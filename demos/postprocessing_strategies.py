@@ -12,7 +12,7 @@ then scores four decoders on the same noisy views:
   none                 raw decode of the 1.0-scale view
   nms                  + greedy overlap suppression
   nms+flip             + averaging with the unflipped mirror view
-  nms+flip+multiscale  + score-weighted merge across scales
+  nms+flip+multiscale  + the same at 0.75x, merged by score under NMS
 """
 
 import logging

@@ -28,7 +28,6 @@ from .decode import (
     decode_scene,
     extract_keypoint_candidates,
     extract_peaks,
-    snap_keypoints,
 )
 from .encode import EncodeParams, encode_scene, gaussian_radius, render_gaussian
 from .fileio import (
@@ -58,9 +57,7 @@ from .metrics import (
     MetricBlock,
     MetricReport,
     PRCurve,
-    average_precision,
     evaluate,
-    match_detections,
     oks,
     report_to_csv_rows,
     report_to_dict,
@@ -70,6 +67,7 @@ from .postprocess import (
     flip_tensors,
     fuse_multiscale,
     fuse_tensors,
+    infer,
     iou,
     nms,
     rescale_detections,
@@ -93,4 +91,32 @@ from .synth import NoiseParams, SynthParams, noisy_view_tensors, synth_scenes
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bench
+    "BenchReport", "StageStats", "StrategyReport", "StrategyResult", "bench_decode", "compare_strategies",
+    # categories
+    "DEFAULT_SIGMA", "NUM_CATEGORIES", "TOTAL_KEYPOINTS", "CategoryConfigError", "CategorySpec",
+    "CategoryTable", "default_table", "dump_category_table", "global_keypoint_index", "load_category_table",
+    # decode
+    "DecodeConfig", "KeypointCandidates", "Peak", "decode_coarse_keypoints", "decode_detections",
+    "decode_scene", "extract_keypoint_candidates", "extract_peaks",
+    # encode
+    "EncodeParams", "encode_scene", "gaussian_radius", "render_gaussian",
+    # fileio
+    "FormatError", "read_detections", "read_scenes", "read_tensors", "write_detections", "write_scenes",
+    "write_tensors",
+    # heads
+    "TENSOR_NAMES", "HeadTensorSet", "TensorValidationError", "ValidationResult", "new_head_tensors",
+    "require_valid", "validate_head_tensors",
+    # metrics
+    "VISIBILITY_MODES", "VISIBLE_AND_OCCLUDED", "VISIBLE_ONLY", "EvalConfig", "EvaluationError",
+    "MetricBlock", "MetricReport", "PRCurve", "evaluate", "oks", "report_to_csv_rows", "report_to_dict",
+    # postprocess
+    "FusionConfig", "flip_tensors", "fuse_multiscale", "fuse_tensors", "infer", "iou", "nms",
+    "rescale_detections",
+    # scene
+    "VIS_OCCLUDED", "VIS_UNLABELED", "VIS_VISIBLE", "Detection", "GroundTruthItem", "Scene", "SceneError",
+    "box_area", "clamp_scene", "mirror_scene", "scale_scene", "translate_scene", "validate_scene",
+    # synth
+    "NoiseParams", "SynthParams", "noisy_view_tensors", "synth_scenes",
+]

@@ -19,7 +19,7 @@ from .decode import DecodeConfig, decode_scene
 from .encode import EncodeParams
 from .heads import HeadTensorSet
 from .metrics import EvalConfig, evaluate
-from .postprocess import FusionConfig, flip_tensors, fuse_multiscale, fuse_tensors, nms, rescale_detections
+from .postprocess import FusionConfig, fuse_multiscale, infer, nms, rescale_detections
 from .scene import Detection, Scene
 from .synth import NoiseParams, noisy_view_tensors
 
@@ -121,7 +121,7 @@ def bench_decode(
 
         if do_flip:
             start = time.perf_counter()
-            flipped = [decode_scene(fuse_tensors([t, flip_tensors(t, table)]), table, config) for t in sets]
+            flipped = [infer([(1.0, t, t)], table, config, None) for t in sets]
             split = time.perf_counter()
             outputs["flip_fusion"] = flipped
             if timed:
@@ -131,7 +131,7 @@ def bench_decode(
             secondary = fusion.scales[1]
             start = time.perf_counter()
             merged = [
-                fuse_multiscale([dets, rescale_detections(dets, 1.0 / secondary)], fusion)
+                fuse_multiscale([dets, rescale_detections(dets, 1.0 / secondary)], fusion.nms_iou_threshold)
                 for dets in decoded
             ]
             split = time.perf_counter()
@@ -192,20 +192,21 @@ def compare_strategies(
     noise: NoiseParams = NoiseParams(),
     encode_params: EncodeParams = EncodeParams(),
     decode_config: DecodeConfig = DecodeConfig(min_center_score=0.1),
-    fusion: FusionConfig = FusionConfig(flip_enabled=True),
+    fusion: FusionConfig = FusionConfig(),
     eval_config: EvalConfig = EvalConfig(),
 ) -> StrategyReport:
     """Score the cumulative post-processing ladder on noisy views.
 
     Four pipelines over the same corrupted detector output: raw decode, NMS,
     NMS over flip-fused tensors, and NMS over flip-fused tensors at every
-    scale with detection-space merging. Latency covers everything after the
-    simulated network pass; view encoding is excluded.
+    scale with detection-space merging. The flip rungs always fuse mirrored
+    views, whatever fusion.flip_enabled says. Latency covers everything after
+    the simulated network pass; view encoding is excluded.
     """
     table = table or default_table()
     views: dict[tuple[float, bool], dict[str, HeadTensorSet]] = {}
     for scale in fusion.scales:
-        for flipped in (False, True) if fusion.flip_enabled else (False,):
+        for flipped in (False, True):
             views[(scale, flipped)] = {
                 s.image_id: noisy_view_tensors(s, table, noise, scale, flipped, encode_params) for s in scenes
             }
@@ -213,28 +214,21 @@ def compare_strategies(
         decode_scene(views[(1.0, False)][scene.image_id], table, decode_config)
 
     def run(strategy: str) -> StrategyResult:
+        scales = fusion.scales if strategy == "nms+flip+multiscale" else (1.0,)
+        flip = strategy.startswith("nms+flip")
+        nms_iou = None if strategy == "none" else fusion.nms_iou_threshold
         per_image: dict[str, list[Detection]] = {}
         elapsed = 0.0
         for scene in scenes:
+            image_id = scene.image_id
+            image_views = [
+                (scale, views[(scale, False)][image_id], views[(scale, True)][image_id] if flip else None)
+                for scale in scales
+            ]
             start = time.perf_counter()
-            if strategy in ("none", "nms"):
-                dets = decode_scene(views[(1.0, False)][scene.image_id], table, decode_config)
-                if strategy == "nms":
-                    dets = nms(dets, fusion.nms_iou_threshold)
-            else:
-                scales = fusion.scales if strategy == "nms+flip+multiscale" else (1.0,)
-                per_scale = []
-                for scale in scales:
-                    fused = fuse_tensors(
-                        [
-                            views[(scale, False)][scene.image_id],
-                            flip_tensors(views[(scale, True)][scene.image_id], table),
-                        ]
-                    )
-                    per_scale.append(rescale_detections(decode_scene(fused, table, decode_config), scale))
-                dets = fuse_multiscale(per_scale, fusion)
+            dets = infer(image_views, table, decode_config, nms_iou)
             elapsed += time.perf_counter() - start
-            per_image[scene.image_id] = dets
+            per_image[image_id] = dets
 
         report = evaluate(per_image, scenes, table, eval_config)
         map_box, map_pt = _map_of(report)

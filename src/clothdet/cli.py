@@ -31,7 +31,10 @@ from .metrics import (
     report_to_csv_rows,
     report_to_dict,
 )
-from .postprocess import FusionConfig, flip_tensors, fuse_tensors, nms, rescale_detections
+# nms and rescale_detections are not called here. They stay importable from
+# this module because perfbench/workloads.py times the decode command by
+# wrapping these names in it.
+from .postprocess import FusionConfig, flip_tensors, fuse_tensors, infer, nms, rescale_detections  # noqa: F401
 from .scene import Detection, Scene, mirror_scene, scale_scene
 from .synth import NoiseParams, SynthParams, synth_scenes
 
@@ -127,18 +130,16 @@ def _decode_one(
     flip: bool,
     nms_iou: float | None,
 ) -> list[Detection]:
-    per_scale = []
-    for scale in scales:
-        tensors = read_tensors(tensor_dir / _view_name(image_id, scale, False))
-        if flip:
-            other = flip_tensors(read_tensors(tensor_dir / _view_name(image_id, scale, True)), table)
-            tensors = fuse_tensors([tensors, other])
-        per_scale.append(rescale_detections(decode_scene(tensors, table, config), scale))
-    merged = [det for dets in per_scale for det in dets]
-    merged.sort(key=lambda d: -d.score)
-    if nms_iou is not None:
-        merged = nms(merged, nms_iou)
-    return merged
+    # A generator, so that infer reads one scale's containers at a time.
+    views = (
+        (
+            scale,
+            read_tensors(tensor_dir / _view_name(image_id, scale, False)),
+            read_tensors(tensor_dir / _view_name(image_id, scale, True)) if flip else None,
+        )
+        for scale in scales
+    )
+    return infer(views, table, config, nms_iou)
 
 
 def _cmd_decode(args) -> int:

@@ -3,7 +3,8 @@
 Pipeline: center-heatmap peak extraction, box regression, coarse keypoint
 regression from the center cell, per-keypoint candidate extraction from the
 keypoint heatmaps, and snapping each coarse keypoint to its nearest eligible
-refined candidate.
+refined candidate. The regression channels are read only at the cells these
+steps pick, and a non-finite value read there is rejected.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import TOTAL_KEYPOINTS, CategoryTable
-from .heads import HeadTensorSet, require_valid
+from .heads import HeadTensorSet, TensorValidationError, require_valid
 from .scene import Detection
 
 # Neighbor offsets that precede a cell in row-major order require a strict
@@ -120,10 +121,18 @@ class KeypointCandidates:
     confidence: np.ndarray
     starts: np.ndarray
 
-    def for_channel(self, g: int) -> np.ndarray:
-        """Candidates of one global channel as an (m, 3) array of (x, y, conf)."""
-        lo, hi = self.starts[g], self.starts[g + 1]
-        return np.column_stack((self.x[lo:hi], self.y[lo:hi], self.confidence[lo:hi]))
+
+def _require_finite(values: np.ndarray, name: str, first_channel: int, rows, cols) -> None:
+    """Reject a non-finite value among those read from tensor `name`.
+
+    values holds channels first_channel.. (first axis) at the cells
+    (rows, cols) (second axis, or scalars for a single cell).
+    """
+    if np.isfinite(values).all():
+        return
+    c, i = np.argwhere(~np.isfinite(values.reshape(values.shape[0], -1)))[0]
+    row, col = np.atleast_1d(rows)[i], np.atleast_1d(cols)[i]
+    raise TensorValidationError([f"{name}: non-finite value at channel {first_channel + c}, cell ({row}, {col})"])
 
 
 def extract_keypoint_candidates(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> KeypointCandidates:
@@ -131,8 +140,10 @@ def extract_keypoint_candidates(tensors: HeadTensorSet, config: DecodeConfig = D
     chan, row, col, score = _peak_arrays(tensors.kp_heatmap, config.min_kp_candidate_score)
     order = np.lexsort((col, row, chan))
     chan, row, col, score = chan[order], row[order], col[order], score[order]
-    x = col + tensors.kp_refine_offset[0, row, col].astype(np.float64)
-    y = row + tensors.kp_refine_offset[1, row, col].astype(np.float64)
+    refine = tensors.kp_refine_offset[:, row, col].astype(np.float64)
+    _require_finite(refine, "kp_refine_offset", 0, row, col)
+    x = col + refine[0]
+    y = row + refine[1]
     starts = np.searchsorted(chan, np.arange(TOTAL_KEYPOINTS + 1))
     return KeypointCandidates(
         channel=chan, x=x, y=y, confidence=score.astype(np.float64), starts=starts
@@ -149,9 +160,9 @@ def decode_coarse_keypoints(
     """
     spec = table.spec(category)
     row, col = detection_center_cell
-    block = tensors.kp_offset[
-        2 * spec.global_offset : 2 * (spec.global_offset + spec.keypoint_count), row, col
-    ].astype(np.float64)
+    lo = 2 * spec.global_offset
+    block = tensors.kp_offset[lo : lo + 2 * spec.keypoint_count, row, col].astype(np.float64)
+    _require_finite(block, "kp_offset", lo, row, col)
     coarse = block.reshape(spec.keypoint_count, 2)
     return coarse + (col, row)
 
@@ -202,63 +213,22 @@ def _snap_block(
     return out
 
 
-def snap_keypoints(
-    coarse_positions: np.ndarray,
-    candidates: list[np.ndarray],
-    box_cells: np.ndarray,
-    config: DecodeConfig = DecodeConfig(),
-) -> np.ndarray:
-    """Replace each coarse keypoint with its nearest eligible candidate.
-
-    Args:
-        coarse_positions: (K, 2) coarse (x, y) in cells.
-        candidates: per local keypoint, an (m, 3) array of (x, y, confidence)
-            rows in row-major peak order (as produced by
-            KeypointCandidates.for_channel over the category's slice).
-        box_cells: detection box [x1, y1, x2, y2] in cells; eligibility is
-            containment in this box expanded by config.snap_box_margin.
-
-    Returns:
-        (K, 3) array of (x, y, confidence); unsnapped rows keep the coarse
-        position with confidence 0.
-    """
-    coarse = np.asarray(coarse_positions, dtype=np.float64)
-    if len(candidates) != coarse.shape[0]:
-        raise ValueError(f"{coarse.shape[0]} coarse keypoints but {len(candidates)} candidate lists")
-    locals_ = []
-    for idx, cand in enumerate(candidates):
-        cand = np.asarray(cand, dtype=np.float64).reshape(-1, 3)
-        locals_.append(np.column_stack((np.full(len(cand), idx, dtype=np.float64), cand)))
-    flat = np.concatenate(locals_) if locals_ else np.empty((0, 4))
-    return _snap_block(
-        coarse,
-        flat[:, 0].astype(np.int64),
-        flat[:, 1],
-        flat[:, 2],
-        flat[:, 3],
-        np.asarray(box_cells, dtype=np.float64),
-        config.snap_box_margin,
-    )
-
-
 def _boxes_from_peaks(tensors: HeadTensorSet, peaks: list[Peak]) -> np.ndarray:
     """Box regression per peak: (n, 4) pixel boxes, computed in cells then scaled."""
-    boxes = np.empty((len(peaks), 4), dtype=np.float64)
-    for i, peak in enumerate(peaks):
-        row, col = peak.cell
-        dx = float(tensors.center_offset[0, row, col])
-        dy = float(tensors.center_offset[1, row, col])
-        w = max(float(tensors.wh[0, row, col]), 0.0)
-        h = max(float(tensors.wh[1, row, col]), 0.0)
-        cx = col + dx
-        cy = row + dy
-        boxes[i] = (
-            (cx - w / 2) * tensors.stride,
-            (cy - h / 2) * tensors.stride,
-            (cx + w / 2) * tensors.stride,
-            (cy + h / 2) * tensors.stride,
-        )
-    return boxes
+    rows = np.array([peak.cell[0] for peak in peaks], dtype=np.int64)
+    cols = np.array([peak.cell[1] for peak in peaks], dtype=np.int64)
+    offset = tensors.center_offset[:, rows, cols].astype(np.float64)
+    size = tensors.wh[:, rows, cols].astype(np.float64)
+    _require_finite(offset, "center_offset", 0, rows, cols)
+    _require_finite(size, "wh", 0, rows, cols)
+    cx = cols + offset[0]
+    cy = rows + offset[1]
+    half_w = np.maximum(size[0], 0.0) / 2
+    half_h = np.maximum(size[1], 0.0) / 2
+    stride = tensors.stride
+    return np.column_stack(
+        ((cx - half_w) * stride, (cy - half_h) * stride, (cx + half_w) * stride, (cy + half_h) * stride)
+    )
 
 
 def decode_detections(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> list[Detection]:
@@ -285,6 +255,10 @@ def decode_scene(
     candidate extraction, and snapping; landmark cells are scaled by the
     stride into pixels. Detections come out sorted by score descending,
     ties by (channel, row, col) of their peaks.
+
+    Raises:
+        TensorValidationError: when validation fails, or when a regression
+            value read at a peak or candidate cell is not finite.
     """
     require_valid(tensors, table)
     peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)

@@ -207,7 +207,7 @@ def write_scenes(path, scenes: list[Scene]) -> None:
             for s in sorted(scenes, key=lambda s: s.image_id)
         ]
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), "utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), "utf-8")
 
 
 def read_detections(path) -> dict[str, list[Detection]]:
@@ -253,4 +253,4 @@ def write_detections(path, detections_by_image: dict[str, list[Detection]]) -> N
                     "landmarks": det.landmarks.reshape(-1).tolist(),
                 }
             )
-    Path(path).write_text(json.dumps({"detections": rows}, indent=2, sort_keys=True), "utf-8")
+    Path(path).write_text(json.dumps({"detections": rows}, indent=2, sort_keys=True, allow_nan=False), "utf-8")

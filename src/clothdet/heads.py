@@ -84,14 +84,16 @@ def _expected_channels(table: CategoryTable) -> dict[str, int]:
     }
 
 
-def _first_nonfinite(grid: np.ndarray) -> tuple[int, int, int]:
-    flat = int(np.flatnonzero(~np.isfinite(grid))[0])
-    c, r, col = np.unravel_index(flat, grid.shape)
+def _first_cell(mask: np.ndarray) -> tuple[int, int, int]:
+    c, r, col = np.unravel_index(int(np.flatnonzero(mask)[0]), mask.shape)
     return int(c), int(r), int(col)
 
 
 def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
-    """Check channel counts, consistent spatial dims, and heatmap finiteness.
+    """Check channel counts, consistent spatial dims, and heatmap values.
+
+    Heatmap values must be finite and lie in [0, 1], since decode reports
+    them as scores.
 
     Returns a result listing every issue found (empty issue list means valid).
     """
@@ -115,15 +117,18 @@ def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> Valid
     if tensors.stride < 1:
         issues.append(f"stride must be >= 1, got {tensors.stride}")
 
-    # Finiteness of the heatmaps. min/max scan first; locating the bad cell
-    # is only paid on the failure path.
+    # Finiteness and range of the heatmaps. min/max scan first; locating the
+    # bad cell is only paid on the failure path.
     for name in ("center", "kp_heatmap"):
         grid = getattr(tensors, name)
         if name in shapes and grid.size:
             lo, hi = grid.min(), grid.max()
             if not (np.isfinite(lo) and np.isfinite(hi)):
-                c, r, col = _first_nonfinite(grid)
+                c, r, col = _first_cell(~np.isfinite(grid))
                 issues.append(f"{name}: non-finite value at channel {c}, cell ({r}, {col})")
+            elif lo < 0 or hi > 1:
+                c, r, col = _first_cell((grid < 0) | (grid > 1))
+                issues.append(f"{name}: value {grid[c, r, col]:g} outside [0, 1] at channel {c}, cell ({r}, {col})")
 
     return ValidationResult(ok=not issues, issues=tuple(issues))
 

@@ -80,7 +80,11 @@ def oks(pred_landmarks, gt_item: GroundTruthItem, sigmas, visibility_mode: str) 
 
 
 def _greedy_from_matrix(sim: np.ndarray, threshold: float) -> list[bool]:
-    """Greedy TP labels for detections (rows, already score-descending)."""
+    """Greedy TP labels for detections (rows, already score-descending).
+
+    Each detection takes the unmatched GT (column) of highest similarity at
+    or above the threshold, the lowest GT index on ties.
+    """
     n_det, n_gt = sim.shape
     taken = np.zeros(n_gt, dtype=bool)
     labels = []
@@ -95,26 +99,6 @@ def _greedy_from_matrix(sim: np.ndarray, threshold: float) -> list[bool]:
     return labels
 
 
-def match_detections(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthItem],
-    similarity: Callable[[Detection, GroundTruthItem], float],
-    threshold: float,
-    max_detections: int | None = None,
-) -> list[bool]:
-    """TP/FP labels for one image and category.
-
-    Detections must arrive sorted score-descending (ties resolved by input
-    order); each matches the unmatched GT with the highest similarity at or
-    above the threshold, lowest GT index on ties. Detections past
-    max_detections are dropped from the labeling entirely.
-    """
-    if max_detections is not None:
-        dets = dets[:max_detections]
-    sim = np.array([[similarity(d, g) for g in gts] for d in dets], dtype=np.float64).reshape(len(dets), len(gts))
-    return _greedy_from_matrix(sim, threshold)
-
-
 def _pr_envelope(tp_flags: np.ndarray, n_gt: int) -> tuple[float, np.ndarray]:
     """AP and the 101-point interpolated precision envelope."""
     if len(tp_flags) == 0:
@@ -127,27 +111,6 @@ def _pr_envelope(tp_flags: np.ndarray, n_gt: int) -> tuple[float, np.ndarray]:
     idx = np.searchsorted(recall, _RECALL_GRID, side="left")
     sampled = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
     return float(sampled.mean()), sampled
-
-
-def average_precision(labels_with_scores: Sequence[tuple[float, bool]], n_gt: int) -> float | None:
-    """COCO 101-point interpolated AP.
-
-    Args:
-        labels_with_scores: (score, is_tp) pairs accumulated over all images;
-            sorted here score-descending, stable on ties.
-        n_gt: number of ground-truth objects.
-
-    Returns:
-        AP in [0, 1]; 0.0 for detections without GT; None for neither.
-    """
-    if n_gt < 0:
-        raise EvaluationError("n_gt must be >= 0")
-    if n_gt == 0:
-        return 0.0 if len(labels_with_scores) else None
-    ordered = sorted(labels_with_scores, key=lambda st: -st[0])
-    flags = np.array([tp for _, tp in ordered], dtype=bool)
-    ap, _ = _pr_envelope(flags, n_gt)
-    return ap
 
 
 @dataclass(frozen=True)

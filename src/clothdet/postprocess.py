@@ -4,16 +4,18 @@ Flip fusion works in tensor space: mirror the tensors computed on a
 horizontally flipped input back into the original orientation, then average
 with the plain tensors and decode once. Multiscale fusion works in detection
 space: decode each scale separately, map coordinates back to original
-pixels, then merge the lists under NMS.
+pixels, then merge the lists under NMS. `infer` runs both, in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
 from .categories import CategoryTable
+from .decode import DecodeConfig, decode_scene
 from .heads import HeadTensorSet
 from .scene import Detection
 
@@ -25,7 +27,6 @@ class FusionConfig:
     nms_iou_threshold: float = 0.5
     flip_enabled: bool = False
     scales: tuple[float, ...] = DEFAULT_SCALES
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0 < self.nms_iou_threshold < 1:
@@ -169,14 +170,39 @@ def rescale_detections(detections: list[Detection], scale: float) -> list[Detect
     return out
 
 
-def fuse_multiscale(per_scale_detections: list[list[Detection]], config: FusionConfig = FusionConfig()) -> list[Detection]:
+def fuse_multiscale(per_scale_detections: list[list[Detection]], nms_iou: float | None) -> list[Detection]:
     """Merge per-scale detection lists (already in original pixels) under NMS.
 
     Lists are concatenated, sorted by score descending (stable, so earlier
-    scales win ties), then suppressed with the config threshold.
+    scales win ties), then suppressed at the nms_iou threshold; None skips
+    the suppression and returns the sorted list.
     """
-    merged: list[Detection] = []
-    for dets in per_scale_detections:
-        merged.extend(dets)
+    merged = [det for dets in per_scale_detections for det in dets]
     merged.sort(key=lambda det: -det.score)
-    return nms(merged, config.nms_iou_threshold)
+    return merged if nms_iou is None else nms(merged, nms_iou)
+
+
+def infer(
+    views: Iterable[tuple[float, HeadTensorSet, HeadTensorSet | None]],
+    table: CategoryTable,
+    config: DecodeConfig,
+    nms_iou: float | None,
+) -> list[Detection]:
+    """Detections for one image from its test-time views.
+
+    Each view is (scale, tensors, mirrored): the tensor set computed on the
+    image resized by scale, and the one computed on its horizontal mirror at
+    that scale, or None. Per view the mirrored set is unflipped and averaged
+    with the plain one, the result decoded once and mapped back to original
+    pixels; fuse_multiscale then merges the scales. Views are taken one at a
+    time, so a generator of views reads one scale's containers at a time.
+    """
+    per_scale = []
+    for scale, tensors, mirrored in views:
+        if mirrored is not None:
+            # Rebinding drops the raw mirrored set before the float64 fusion,
+            # which is the peak of memory use.
+            mirrored = flip_tensors(mirrored, table)
+            tensors = fuse_tensors([tensors, mirrored])
+        per_scale.append(rescale_detections(decode_scene(tensors, table, config), scale))
+    return fuse_multiscale(per_scale, nms_iou)

@@ -82,3 +82,13 @@ class TestCompareStrategies:
         rows = report.rows()
         assert rows[0] == ["metric", *STRATEGY_NAMES]
         assert [r[0] for r in rows[1:]] == ["mAP_box", "mAP_pt", "latency_ms"]
+
+    def test_flip_rungs_do_not_depend_on_flip_enabled(self, table):
+        scenes = synth_scenes(
+            SynthParams(seed=1, num_images=2, image_width=256, image_height=256,
+                        min_box_size=48, max_box_size=96, avoid_cell_boundaries=True),
+            table,
+        )
+        default = compare_strategies(scenes, table, NoiseParams(seed=1), fusion=FusionConfig())
+        flip = compare_strategies(scenes, table, NoiseParams(seed=1), fusion=FusionConfig(flip_enabled=True))
+        assert default.rows()[1:3] == flip.rows()[1:3]

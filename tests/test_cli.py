@@ -91,6 +91,40 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert "error:" in err and "expected 13 channels" in err
 
+    @staticmethod
+    def _seed7_container(tmp_path):
+        """One clean container of `clothdet synth --seed 7`, and the cell of its highest center peak."""
+        scenes = tmp_path / "scenes.json"
+        assert main(["synth", "--out", str(scenes), "--images", "1", "--width", "256", "--height", "256",
+                     "--seed", "7"]) == 0
+        tensors = tmp_path / "tensors"
+        assert main(["encode", "--scenes", str(scenes), "--out-dir", str(tensors)]) == 0
+        (path,) = tensors.glob("*.dmrk")
+        container = read_tensors(path)
+        peak = np.unravel_index(int(np.argmax(container.center)), container.center.shape)
+        return path, container, tuple(int(v) for v in peak)
+
+    def test_decode_rejects_nan_regression_value(self, tmp_path, capsys):
+        path, container, (_, row, col) = self._seed7_container(tmp_path)
+        container.wh[0, row, col] = np.nan
+        write_tensors(path, container)
+        out = tmp_path / "dets.json"
+        assert main(["decode", "--tensors", str(path.parent), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"wh: non-finite value at channel 0, cell ({row}, {col})" in captured.err
+        assert not out.exists()
+        assert "NaN" not in captured.out + captured.err
+
+    def test_decode_rejects_center_above_one(self, tmp_path, capsys):
+        path, container, (channel, row, col) = self._seed7_container(tmp_path)
+        container.center[channel] *= 1.5
+        write_tensors(path, container)
+        out = tmp_path / "dets.json"
+        assert main(["decode", "--tensors", str(path.parent), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"center: value 1.5 outside [0, 1] at channel {channel}, cell ({row}, {col})" in err
+        assert not out.exists()
+
     def test_decode_empty_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -8,6 +8,7 @@ from clothdet import (
     DecodeConfig,
     HeadTensorSet,
     SynthParams,
+    TensorValidationError,
     decode_coarse_keypoints,
     decode_detections,
     decode_scene,
@@ -15,7 +16,6 @@ from clothdet import (
     extract_keypoint_candidates,
     extract_peaks,
     new_head_tensors,
-    snap_keypoints,
     synth_scenes,
 )
 from clothdet.scene import translate_scene
@@ -168,69 +168,100 @@ def test_candidate_extraction_examples(table):
     tensors.kp_refine_offset[0, 11, 11] = 0.25
     tensors.kp_refine_offset[1, 11, 11] = 0.5
     cands = extract_keypoint_candidates(tensors)
-    np.testing.assert_array_equal(cands.for_channel(0), [[11.25, 11.5, 1.0]])
-    assert cands.for_channel(1).shape == (0, 3)
-    np.testing.assert_array_equal(cands.for_channel(2), [[11.25, 11.5, 0.6]])
+    np.testing.assert_array_equal(cands.channel, [0, 2])
+    np.testing.assert_array_equal(cands.x, [11.25, 11.25])
+    np.testing.assert_array_equal(cands.y, [11.5, 11.5])
+    np.testing.assert_array_equal(cands.confidence, [1.0, 0.6])
+    np.testing.assert_array_equal(cands.starts[:4], [0, 1, 1, 2])
+    assert cands.starts[-1] == 2
 
 
-def test_snap_sole_in_box_candidate():
-    snapped = snap_keypoints(
-        np.array([[20.0, 20.0]]),
-        [np.array([[21.0, 20.5, 0.6]])],
-        np.array([15.0, 15.0, 25.0, 25.0]),
-    )
-    np.testing.assert_array_equal(snapped, [[21.0, 20.5, 0.6]])
+def one_detection_tensors(candidates=()):
+    """Tensors holding one category-1 detection boxed by cells [15, 25] x [15, 25].
+
+    Its landmarks' coarse position is the center cell (20, 20). Each
+    candidate is (x, y, confidence) in cells, placed as a kp_heatmap
+    channel-0 peak at cell (int(y), int(x)) with the fractional part in
+    kp_refine_offset.
+    """
+    tensors = float64_tensors()
+    tensors.center[0, 20, 20] = 0.9
+    tensors.wh[:, 20, 20] = 10.0
+    for x, y, conf in candidates:
+        row, col = int(y), int(x)
+        tensors.kp_heatmap[0, row, col] = conf
+        tensors.kp_refine_offset[:, row, col] = (x - col, y - row)
+    return tensors
 
 
-def test_snap_without_candidates_keeps_coarse():
-    snapped = snap_keypoints(
-        np.array([[20.0, 20.0]]),
-        [np.empty((0, 3))],
-        np.array([15.0, 15.0, 25.0, 25.0]),
-    )
-    np.testing.assert_array_equal(snapped, [[20.0, 20.0, 0.0]])
+def snapped_first_landmark(table, candidates, config=DecodeConfig()):
+    """Landmark 0, in cells, that decode_scene gives the detection of one_detection_tensors."""
+    tensors = one_detection_tensors(candidates)
+    det = decode_scene(tensors, table, config)[0]
+    assert det.score == 0.9
+    np.testing.assert_array_equal(det.box, np.array([15.0, 15.0, 25.0, 25.0]) * tensors.stride)
+    landmark = det.landmarks[0].copy()
+    landmark[:2] /= tensors.stride
+    return landmark
 
 
-def test_snap_ignores_out_of_box_candidate():
-    snapped = snap_keypoints(
-        np.array([[20.0, 20.0]]),
-        [np.array([[40.0, 40.0, 0.9]])],
-        np.array([15.0, 15.0, 25.0, 25.0]),
-    )
-    np.testing.assert_array_equal(snapped, [[20.0, 20.0, 0.0]])
+def test_snap_sole_in_box_candidate(table):
+    np.testing.assert_array_equal(snapped_first_landmark(table, [(21.0, 20.5, 0.6)]), [21.0, 20.5, 0.6])
 
 
-def test_snap_margin_expands_eligibility():
-    coarse = np.array([[20.0, 20.0]])
-    candidates = [np.array([[26.0, 20.0, 0.9]])]
-    box = np.array([15.0, 15.0, 25.0, 25.0])
-    tight = snap_keypoints(coarse, candidates, box, DecodeConfig(snap_box_margin=1.0))
-    loose = snap_keypoints(coarse, candidates, box, DecodeConfig(snap_box_margin=1.5))
-    assert tight[0, 2] == 0.0
-    np.testing.assert_array_equal(loose, [[26.0, 20.0, 0.9]])
+def test_snap_without_candidates_keeps_coarse(table):
+    np.testing.assert_array_equal(snapped_first_landmark(table, []), [20.0, 20.0, 0.0])
 
 
-def test_snap_distance_tie_prefers_higher_confidence():
-    snapped = snap_keypoints(
-        np.array([[20.0, 20.0]]),
-        [np.array([[19.0, 20.0, 0.3], [21.0, 20.0, 0.9]])],
-        np.array([15.0, 15.0, 25.0, 25.0]),
-    )
-    np.testing.assert_array_equal(snapped, [[21.0, 20.0, 0.9]])
+def test_snap_ignores_out_of_box_candidate(table):
+    np.testing.assert_array_equal(snapped_first_landmark(table, [(30.0, 30.0, 0.9)]), [20.0, 20.0, 0.0])
 
 
-def test_snap_full_tie_takes_row_major_first():
-    snapped = snap_keypoints(
-        np.array([[20.0, 20.0]]),
-        [np.array([[19.0, 20.0, 0.5], [21.0, 20.0, 0.5]])],
-        np.array([15.0, 15.0, 25.0, 25.0]),
-    )
-    np.testing.assert_array_equal(snapped, [[19.0, 20.0, 0.5]])
+def test_snap_margin_expands_eligibility(table):
+    candidates = [(26.0, 20.0, 0.9)]
+    tight = snapped_first_landmark(table, candidates, DecodeConfig(snap_box_margin=1.0))
+    loose = snapped_first_landmark(table, candidates, DecodeConfig(snap_box_margin=1.5))
+    assert tight[2] == 0.0
+    np.testing.assert_array_equal(loose, [26.0, 20.0, 0.9])
 
 
-def test_snap_candidate_list_count_mismatch():
-    with pytest.raises(ValueError, match="candidate lists"):
-        snap_keypoints(np.array([[20.0, 20.0]]), [], np.array([0.0, 0.0, 4.0, 4.0]))
+def test_snap_distance_tie_prefers_higher_confidence(table):
+    snapped = snapped_first_landmark(table, [(19.0, 20.0, 0.3), (21.0, 20.0, 0.9)])
+    np.testing.assert_array_equal(snapped, [21.0, 20.0, 0.9])
+
+
+def test_snap_full_tie_takes_row_major_first(table):
+    snapped = snapped_first_landmark(table, [(21.0, 20.0, 0.5), (19.0, 20.0, 0.5)])
+    np.testing.assert_array_equal(snapped, [19.0, 20.0, 0.5])
+
+
+def test_snap_candidate_list_count_mismatch(table):
+    # Candidates come from one kp_heatmap channel per landmark; a stack that
+    # does not hold one per landmark of the table is rejected before snapping.
+    base = new_head_tensors(16, 16, 4)
+    tensors = dataclasses.replace(base, kp_heatmap=base.kp_heatmap[:-1])
+    with pytest.raises(ValueError, match="kp_heatmap: expected 294 channels, got 293"):
+        decode_scene(tensors, table)
+
+
+@pytest.mark.parametrize("name, channel, cell", [
+    ("wh", 1, (20, 20)),                # read at the center peak
+    ("center_offset", 0, (20, 20)),     # read at the center peak
+    ("kp_offset", 3, (20, 20)),         # read at the center cell
+    ("kp_refine_offset", 1, (20, 21)),  # read at the candidate cell
+])
+def test_decode_rejects_non_finite_value_it_reads(table, name, channel, cell):
+    tensors = one_detection_tensors([(21.0, 20.5, 0.6)])
+    getattr(tensors, name)[(channel, *cell)] = np.nan
+    with pytest.raises(TensorValidationError, match=rf"{name}: non-finite value at channel {channel}, cell \({cell[0]}, {cell[1]}\)"):
+        decode_scene(tensors, table)
+
+
+def test_decode_ignores_non_finite_value_it_does_not_read(table):
+    tensors = one_detection_tensors([(21.0, 20.5, 0.6)])
+    for grid in (tensors.wh, tensors.center_offset, tensors.kp_offset, tensors.kp_refine_offset):
+        grid[:, 5, 5] = np.nan
+    assert decode_scene(tensors, table)[0].score == 0.9
 
 
 def test_decode_scene_all_zero_is_empty(table):
@@ -295,8 +326,9 @@ def test_decode_scene_landmarks_from_candidates_or_coarse(table):
             if conf == 0.0:
                 np.testing.assert_array_equal([x / stride, y / stride], coarse[local])
             else:
-                pool = cands.for_channel(spec.global_offset + local)
-                match = (pool[:, 0] * stride == x) & (pool[:, 1] * stride == y) & (pool[:, 2] == conf)
+                g = spec.global_offset + local
+                lo, hi = cands.starts[g], cands.starts[g + 1]
+                match = (cands.x[lo:hi] * stride == x) & (cands.y[lo:hi] * stride == y) & (cands.confidence[lo:hi] == conf)
                 assert match.any()
 
 

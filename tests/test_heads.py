@@ -73,6 +73,21 @@ def test_inf_in_center_flagged(table):
     assert any("center" in issue and "non-finite" in issue for issue in result.issues)
 
 
+@pytest.mark.parametrize("name, value", [("center", 1.25), ("kp_heatmap", -0.5)])
+def test_heatmap_value_outside_unit_range_flagged(table, name, value):
+    tensors = new_head_tensors(16, 16, 4)
+    getattr(tensors, name)[2, 3, 4] = value
+    result = validate_head_tensors(tensors, table)
+    assert result.issues == (f"{name}: value {value:g} outside [0, 1] at channel 2, cell (3, 4)",)
+
+
+def test_heatmap_range_bounds_are_valid(table):
+    tensors = new_head_tensors(16, 16, 4)
+    tensors.center[0, 0, 0] = 1.0
+    tensors.kp_heatmap[0, 0, 0] = 1.0
+    assert validate_head_tensors(tensors, table).ok
+
+
 def test_mismatched_spatial_dims(table):
     base = new_head_tensors(16, 16, 4)
     tensors = HeadTensorSet(

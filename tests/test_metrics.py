@@ -8,10 +8,8 @@ from clothdet import (
     EvalConfig,
     GroundTruthItem,
     SynthParams,
-    average_precision,
     evaluate,
     iou,
-    match_detections,
     oks,
     synth_scenes,
 )
@@ -99,76 +97,103 @@ class TestOks:
             oks(good, item, np.full(25, 0.05), "everything")
 
 
-class TestMatching:
-    @staticmethod
-    def _sim(det, gt):
-        return iou(det.box, gt.box)
+def box_map(table, scenes_items, dets_per_image, **config):
+    """Box mAP of evaluate over images given as lists of GT items and of detections."""
+    scenes = [make_scene(table, items, image_id=f"img-{i}") for i, items in enumerate(scenes_items)]
+    dets = {scene.image_id: d for scene, d in zip(scenes, dets_per_image)}
+    return evaluate(dets, scenes, table, EvalConfig(**config)).box
 
+
+def box_det(score, box):
+    return Detection(1, score, np.asarray(box, dtype=np.float64), np.empty((0, 3)))
+
+
+# Greedy matching, observed through evaluate's box AP. With two GTs a
+# detection that is wrongly left unmatched (or wrongly matched) moves AP
+# between 51/101 (recall stops at 1/2) and 1.0.
+HALF_RECALL_AP = 51 / 101
+
+
+class TestMatching:
     def test_exact_match(self, table):
         gt = make_item(table, 1, (0, 0, 10, 10))
-        det = Detection(1, 0.9, gt.box.copy(), np.empty((0, 3)))
-        assert match_detections([det], [gt], self._sim, 0.5) == [True]
+        assert box_map(table, [[gt]], [[box_det(0.9, gt.box)]]).map == 1.0
 
     def test_second_detection_on_same_gt_is_fp(self, table):
-        gt = make_item(table, 1, (0, 0, 10, 10))
-        a = Detection(1, 0.9, gt.box.copy(), np.empty((0, 3)))
-        b = Detection(1, 0.8, gt.box.copy(), np.empty((0, 3)))
-        assert match_detections([a, b], [gt], self._sim, 0.5) == [True, False]
+        gts = [make_item(table, 1, (0, 0, 10, 10)), make_item(table, 1, (50, 50, 60, 60))]
+        dets = [box_det(0.9, gts[0].box), box_det(0.8, gts[0].box)]
+        assert box_map(table, [gts], [dets], thresholds=(0.5,)).map == HALF_RECALL_AP
 
     def test_below_threshold_is_fp(self, table):
         gt = make_item(table, 1, (0, 0, 10, 10))
-        det = Detection(1, 0.9, np.array([0.0, 0.0, 9.0, 5.0]), np.empty((0, 3)))
+        det = box_det(0.9, (0.0, 0.0, 9.0, 5.0))
         assert iou(det.box, gt.box) == 0.45
-        assert match_detections([det], [gt], self._sim, 0.5) == [False]
-        assert match_detections([det], [gt], self._sim, 0.45) == [True]
+        assert box_map(table, [[gt]], [[det]], thresholds=(0.5,)).map == 0.0
+        assert box_map(table, [[gt]], [[det]], thresholds=(0.45,)).map == 1.0
 
     def test_tie_takes_lowest_gt_index(self, table):
-        gts = [make_item(table, 1, (0, 0, 10, 10)), make_item(table, 1, (0, 0, 10, 10))]
-        det = Detection(1, 0.9, gts[0].box.copy(), np.empty((0, 3)))
-        labels = match_detections([det, det], gts, self._sim, 0.5)
-        assert labels == [True, True]
-        taken = match_detections([det], gts, lambda d, g: 1.0 if g is gts[1] else 0.9, 0.5)
-        assert taken == [True]
+        # The first detection overlaps both GTs with IoU 1/3; taking GT 0
+        # leaves the second detection, which only overlaps GT 0, unmatched.
+        gts = [make_item(table, 1, (0, 0, 10, 10)), make_item(table, 1, (10, 0, 20, 10))]
+        dets = [box_det(0.9, (5, 0, 15, 10)), box_det(0.8, gts[0].box)]
+        assert iou(dets[0].box, gts[0].box) == iou(dets[0].box, gts[1].box)
+        assert box_map(table, [gts], [dets], thresholds=(0.3,)).map == HALF_RECALL_AP
+        # Higher similarity beats the lower index: the first detection takes
+        # GT 1, so the second, which only overlaps GT 1, is unmatched.
+        dets = [box_det(0.9, (9, 0, 19, 10)), box_det(0.8, gts[1].box)]
+        assert iou(dets[0].box, gts[0].box) < iou(dets[0].box, gts[1].box)
+        assert box_map(table, [gts], [dets], thresholds=(0.05,)).map == HALF_RECALL_AP
 
     def test_max_detections_truncates(self, table):
-        gt = make_item(table, 1, (0, 0, 10, 10))
-        det = Detection(1, 0.9, gt.box.copy(), np.empty((0, 3)))
-        assert match_detections([det, det, det], [gt], self._sim, 0.5, max_detections=2) == [True, False]
+        gts = [make_item(table, 1, (0, 0, 10, 10)), make_item(table, 1, (50, 50, 60, 60))]
+        dets = [box_det(0.9, gts[0].box), box_det(0.8, gts[0].box), box_det(0.7, gts[1].box)]
+        assert box_map(table, [gts], [dets], thresholds=(0.5,), max_detections_per_image=2).map == HALF_RECALL_AP
+        assert box_map(table, [gts], [dets], thresholds=(0.5,)).map > HALF_RECALL_AP
 
-    def test_no_gt(self):
-        det = Detection(1, 0.9, np.array([0.0, 0.0, 1.0, 1.0]), np.empty((0, 3)))
-        assert match_detections([det], [], self._sim, 0.5) == [False]
+    def test_no_gt(self, table):
+        # The top-scored detection sits in an image without GT: a false
+        # positive ranked first halves the precision of the true one.
+        gt = make_item(table, 1, (0, 0, 10, 10))
+        assert box_map(table, [[gt], []], [[box_det(0.5, gt.box)], [box_det(0.9, gt.box)]]).map == 0.5
 
 
 class TestAveragePrecision:
-    def test_single_true_positive(self):
-        assert average_precision([(0.9, True)], 1) == 1.0
+    def test_single_true_positive(self, table):
+        gt = make_item(table, 1, (0, 0, 10, 10))
+        assert box_map(table, [[gt]], [[box_det(0.9, gt.box)]]).map == 1.0
 
-    def test_fp_above_tp_halves(self):
-        assert average_precision([(0.9, False), (0.8, True)], 1) == 0.5
+    def test_fp_above_tp_halves(self, table):
+        gt = make_item(table, 1, (0, 0, 10, 10))
+        dets = [box_det(0.9, (50, 50, 60, 60)), box_det(0.8, gt.box)]
+        assert box_map(table, [[gt]], [dets]).map == 0.5
 
-    def test_input_order_irrelevant(self):
-        assert average_precision([(0.8, True), (0.9, False)], 1) == 0.5
+    def test_input_order_irrelevant(self, table):
+        # Ranked by score within an image and across images, whatever the input order.
+        gt = make_item(table, 1, (0, 0, 10, 10))
+        dets = [box_det(0.8, gt.box), box_det(0.9, (50, 50, 60, 60))]
+        assert box_map(table, [[gt]], [dets]).map == 0.5
+        assert box_map(table, [[gt], []], [dets[:1], dets[1:]]).map == 0.5
 
-    def test_no_detections(self):
-        assert average_precision([], 3) == 0.0
+    def test_no_detections(self, table):
+        gts = [make_item(table, 1, (x, 0, x + 10, 10)) for x in (0, 30, 60)]
+        assert box_map(table, [gts], [[]]).map == 0.0
 
-    def test_no_gt_with_detections(self):
-        assert average_precision([(0.9, False)], 0) == 0.0
+    def test_no_gt_with_detections(self, table):
+        block = box_map(table, [[]], [[box_det(0.9, (0, 0, 10, 10))]])
+        assert block.per_category[1] == 0.0
+        assert block.map is None  # a GT-less category stays out of the mean
 
-    def test_nothing_at_all(self):
-        assert average_precision([], 0) is None
+    def test_nothing_at_all(self, table):
+        block = box_map(table, [[]], [[box_det(0.9, (0, 0, 10, 10))]])
+        assert block.per_category[2] is None
 
-    def test_negative_gt_count(self):
-        with pytest.raises(EvaluationError):
-            average_precision([], -1)
-
-    def test_two_of_three(self):
+    def test_two_of_three(self, table):
         # TPs at scores 0.9 and 0.7, FP at 0.8, n_gt 3.
-        ap = average_precision([(0.9, True), (0.8, False), (0.7, True)], 3)
+        gts = [make_item(table, 1, (x, 0, x + 10, 10)) for x in (0, 30, 60)]
+        dets = [box_det(0.9, gts[0].box), box_det(0.8, (0, 50, 10, 60)), box_det(0.7, gts[1].box)]
         # Envelope: precision 1.0 up to recall 1/3, 2/3 up to recall 2/3, 0 beyond.
         expected = (34 * 1.0 + 33 * (2 / 3)) / 101
-        assert ap == pytest.approx(expected, abs=1e-12)
+        assert box_map(table, [gts], [dets], thresholds=(0.5,)).map == pytest.approx(expected, abs=1e-12)
 
 
 class TestEvaluate:

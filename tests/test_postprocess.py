@@ -6,21 +6,22 @@ from hypothesis import strategies as st
 from clothdet import (
     Detection,
     DecodeConfig,
-    FusionConfig,
     HeadTensorSet,
     SynthParams,
     decode_scene,
     encode_scene,
+    evaluate,
     flip_tensors,
     fuse_multiscale,
     fuse_tensors,
+    infer,
     iou,
     new_head_tensors,
     nms,
     rescale_detections,
     synth_scenes,
 )
-from clothdet.scene import mirror_scene
+from clothdet.scene import mirror_scene, scale_scene
 
 
 def det(category=1, score=0.5, box=(0, 0, 10, 10), landmarks=()):
@@ -280,20 +281,19 @@ class TestMultiscale:
     def test_single_list_equals_nms(self):
         dets = [det(score=0.9, box=(0, 0, 4, 4)), det(score=0.8, box=(1, 1, 4, 4)),
                 det(score=0.7, box=(20, 20, 24, 24))]
-        config = FusionConfig()
-        assert fuse_multiscale([dets], config) == nms(dets, config.nms_iou_threshold)
+        assert fuse_multiscale([dets], 0.5) == nms(dets, 0.5)
 
     def test_duplicate_lists_dedupe(self):
         a = [det(score=0.9, box=(0, 0, 4, 4))]
         b = [det(score=0.8, box=(0, 0, 4, 4))]
-        fused = fuse_multiscale([a, b])
+        fused = fuse_multiscale([a, b], 0.5)
         assert len(fused) == 1
         assert fused[0].score == 0.9
 
     def test_disjoint_lists_retained(self):
         a = [det(score=0.9, box=(0, 0, 4, 4))]
         b = [det(score=0.8, box=(20, 20, 24, 24))]
-        assert len(fuse_multiscale([a, b])) == 2
+        assert len(fuse_multiscale([a, b], 0.5)) == 2
 
     @given(st.lists(
         st.lists(
@@ -310,8 +310,54 @@ class TestMultiscale:
             for rows in lists
         ]
         best_in = max((d.score for rows in det_lists for d in rows), default=None)
-        fused = fuse_multiscale(det_lists)
+        fused = fuse_multiscale(det_lists, 0.5)
         if best_in is None:
             assert fused == []
         else:
             assert fused[0].score == best_in
+
+    def test_without_nms_only_sorts(self):
+        a = [det(score=0.7, box=(0, 0, 4, 4))]
+        b = [det(score=0.9, box=(0, 0, 4, 4)), det(score=0.7, box=(1, 1, 4, 4))]
+        fused = fuse_multiscale([a, b], None)
+        assert fused == [b[0], a[0], b[1]]
+
+
+def same_detections(a, b):
+    return len(a) == len(b) and all(
+        d.category_id == e.category_id and d.score == e.score
+        and np.array_equal(d.box, e.box) and np.array_equal(d.landmarks, e.landmarks)
+        for d, e in zip(a, b)
+    )
+
+
+class TestInfer:
+    CONFIG = DecodeConfig(min_center_score=0.5)
+
+    @staticmethod
+    def scene(table):
+        params = SynthParams(seed=6, num_images=1, min_objects=2, max_objects=3, avoid_cell_boundaries=True)
+        return synth_scenes(params, table)[0]
+
+    def test_plain_view_is_decode(self, table):
+        tensors = encode_scene(self.scene(table), table)
+        got = infer([(1.0, tensors, None)], table, self.CONFIG, None)
+        assert same_detections(got, decode_scene(tensors, table, self.CONFIG))
+
+    def test_mirrored_view_is_unflipped_before_fusing(self, paired_table):
+        scene = self.scene(paired_table)
+        plain = encode_scene(scene, paired_table)
+        mirrored = encode_scene(mirror_scene(scene, paired_table), paired_table)
+        got = infer(iter([(1.0, plain, mirrored)]), paired_table, self.CONFIG, 0.5)
+        fused = fuse_tensors([plain, flip_tensors(mirrored, paired_table)])
+        assert same_detections(got, decode_scene(fused, paired_table, self.CONFIG))
+        report = evaluate({scene.image_id: got}, [scene], paired_table)
+        assert report.box.map == 1.0
+
+    def test_scales_merge_in_original_pixels(self, table):
+        scene = self.scene(table)
+        views = [(s, encode_scene(scale_scene(scene, s), table), None) for s in (1.0, 0.5)]
+        merged = infer(views, table, self.CONFIG, 0.5)
+        assert len(merged) == len(scene.items)
+        assert evaluate({scene.image_id: merged}, [scene], table).box.map == 1.0
+        assert len(infer(views, table, self.CONFIG, None)) == 2 * len(scene.items)
