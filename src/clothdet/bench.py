@@ -205,7 +205,8 @@ def compare_strategies(
     """
     table = table or default_table()
     views: dict[tuple[float, bool], dict[str, HeadTensorSet]] = {}
-    for scale in fusion.scales:
+    # The single-scale rungs and the warm-up read the 1.0 views whatever fusion.scales holds.
+    for scale in dict.fromkeys((1.0, *fusion.scales)):
         for flipped in (False, True):
             views[(scale, flipped)] = {
                 s.image_id: noisy_view_tensors(s, table, noise, scale, flipped, encode_params) for s in scenes

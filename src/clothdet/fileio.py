@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,8 @@ def read_tensors(path) -> HeadTensorSet:
 
     Raises:
         FormatError: bad magic, unsupported version, malformed or overlapping
-            directory, or truncated payload.
+            directory (including entry names that are not UTF-8), or
+            truncated payload. No other exception escapes for malformed bytes.
     """
     data = Path(path).read_bytes()
     view = memoryview(data)
@@ -90,7 +92,10 @@ def read_tensors(path) -> HeadTensorSet:
         (name_len,), pos = take("<H", pos)
         if pos + name_len > len(data):
             raise FormatError(f"truncated entry name at byte {pos}")
-        name = bytes(view[pos : pos + name_len]).decode("utf-8")
+        try:
+            name = bytes(view[pos : pos + name_len]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"entry name at byte {pos} is not valid UTF-8") from exc
         pos += name_len
         (channels, height, width, offset), pos = take("<IIIQ", pos)
         if name in entries:
@@ -131,27 +136,40 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number_list(values, where: str, multiple_of: int) -> list[float]:
+def _number_list(values, where: str, multiple_of: int) -> np.ndarray:
     if not isinstance(values, list) or len(values) % multiple_of != 0:
         raise FormatError(f"{where} must be a flat list with length a multiple of {multiple_of}")
     for i, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"{where}[{i}] is not a number")
-    return [float(v) for v in values]
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if isinstance(v, int) and abs(v) > sys.float_info.max)
+        raise FormatError(f"{where}[{i}] is out of range") from None
+    # json accepts NaN and Infinity tokens; the package's writers never emit them.
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise FormatError(f"{where}[{int(np.argmin(finite))}] is not a finite number")
+    return array
+
+
+def _category(raw: dict, where: str) -> int:
+    category = _require(raw, "category_id", where)
+    if not isinstance(category, int) or isinstance(category, bool):
+        raise FormatError(f"{where}.category_id must be an integer")
+    return category
 
 
 def _parse_item(raw: dict, where: str) -> GroundTruthItem:
     if not isinstance(raw, dict):
         raise FormatError(f"{where} is not an object")
-    category = _require(raw, "category_id", where)
-    if not isinstance(category, int):
-        raise FormatError(f"{where}.category_id must be an integer")
+    category = _category(raw, where)
     bbox = _number_list(_require(raw, "bbox", where), f"{where}.bbox", 4)
     if len(bbox) != 4:
         raise FormatError(f"{where}.bbox must hold exactly four values")
-    triples = _number_list(_require(raw, "landmarks", where), f"{where}.landmarks", 3)
-    landmarks = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
-    return GroundTruthItem(category_id=category, box=np.asarray(bbox), landmarks=landmarks)
+    landmarks = _number_list(_require(raw, "landmarks", where), f"{where}.landmarks", 3).reshape(-1, 3)
+    return GroundTruthItem(category_id=category, box=bbox, landmarks=landmarks)
 
 
 def read_scenes(path, table: CategoryTable) -> list[Scene]:
@@ -225,17 +243,16 @@ def read_detections(path) -> dict[str, list[Detection]]:
         if not isinstance(raw, dict):
             raise FormatError(f"{where} is not an object")
         image_id = str(_require(raw, "image_id", where))
-        category = _require(raw, "category_id", where)
+        category = _category(raw, where)
         score = _require(raw, "score", where)
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not 0 <= score <= 1:
             raise FormatError(f"{where}.score must be a number in [0, 1]")
         bbox = _number_list(_require(raw, "bbox", where), f"{where}.bbox", 4)
         if len(bbox) != 4:
             raise FormatError(f"{where}.bbox must hold exactly four values")
-        triples = _number_list(raw.get("landmarks", []), f"{where}.landmarks", 3)
-        landmarks = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+        landmarks = _number_list(raw.get("landmarks", []), f"{where}.landmarks", 3).reshape(-1, 3)
         out.setdefault(image_id, []).append(
-            Detection(category_id=int(category), score=float(score), box=np.asarray(bbox), landmarks=landmarks)
+            Detection(category_id=category, score=float(score), box=bbox, landmarks=landmarks)
         )
     return out
 

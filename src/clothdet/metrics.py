@@ -79,24 +79,26 @@ def oks(pred_landmarks, gt_item: GroundTruthItem, sigmas, visibility_mode: str) 
     return float(scores[counted].mean())
 
 
-def _greedy_from_matrix(sim: np.ndarray, threshold: float) -> list[bool]:
-    """Greedy TP labels for detections (rows, already score-descending).
+def _greedy_from_matrix(sim: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Greedy TP flags, shape (thresholds, detections), for detections (rows,
+    already score-descending) at every threshold in one pass.
 
-    Each detection takes the unmatched GT (column) of highest similarity at
-    or above the threshold, the lowest GT index on ties.
+    At each threshold, each detection takes the unmatched GT (column) of
+    highest similarity at or above the threshold, the lowest GT index on ties.
     """
     n_det, n_gt = sim.shape
-    taken = np.zeros(n_gt, dtype=bool)
-    labels = []
+    flags = np.zeros((len(thresholds), n_det), dtype=bool)
+    if n_gt == 0:
+        return flags
+    taken = np.zeros((len(thresholds), n_gt), dtype=bool)
+    rows = np.arange(len(thresholds))
     for d in range(n_det):
-        row = np.where(taken, -np.inf, sim[d])
-        g = int(np.argmax(row)) if n_gt else -1
-        if g >= 0 and row[g] >= threshold:
-            taken[g] = True
-            labels.append(True)
-        else:
-            labels.append(False)
-    return labels
+        masked = np.where(taken, -np.inf, sim[d])
+        g = np.argmax(masked, axis=1)
+        hit = masked[rows, g] >= thresholds
+        taken[rows[hit], g[hit]] = True
+        flags[:, d] = hit
+    return flags
 
 
 def _pr_envelope(tp_flags: np.ndarray, n_gt: int) -> tuple[float, np.ndarray]:
@@ -202,21 +204,25 @@ def evaluate(
     categories = [spec.id for spec in table.specs]
     max_det = config.max_detections_per_image
 
-    # Per image and category: canonically ordered detections and GT items.
-    per_image: list[dict[int, tuple[list[Detection], list[GroundTruthItem]]]] = []
+    thresholds = np.asarray(config.thresholds, dtype=np.float64)
+
+    # Per category, in image order: the image's canonically ordered detections
+    # (capped) and GT items, for only the images where the category occurs.
+    buckets: dict[int, list[tuple[list[Detection], list[GroundTruthItem]]]] = {c: [] for c in categories}
     n_detections = 0
     n_gt_items = 0
     for scene in scenes:
         dets = sorted(detections_by_image.get(scene.image_id, []), key=_canonical_det_key)
         n_detections += len(dets)
         n_gt_items += len(scene.items)
-        buckets = {}
-        for cat in categories:
-            cat_dets = [d for d in dets if d.category_id == cat][:max_det]
-            cat_gts = [g for g in scene.items if g.category_id == cat]
-            if cat_dets or cat_gts:
-                buckets[cat] = (cat_dets, cat_gts)
-        per_image.append(buckets)
+        per_cat: dict[int, tuple[list[Detection], list[GroundTruthItem]]] = {}
+        for det in dets:
+            per_cat.setdefault(det.category_id, ([], []))[0].append(det)
+        for item in scene.items:
+            per_cat.setdefault(item.category_id, ([], []))[1].append(item)
+        for cat, (cat_dets, cat_gts) in per_cat.items():
+            if cat in buckets:
+                buckets[cat].append((cat_dets[:max_det], cat_gts))
 
     def run_metric(
         gt_filter: Callable[[GroundTruthItem], bool],
@@ -228,30 +234,25 @@ def evaluate(
         has_gt: dict[int, bool] = {}
         for cat in categories:
             n_gt = 0
-            sims = []
+            flags = []
             scores = []
-            for buckets in per_image:
-                cat_dets, cat_gts = buckets.get(cat, ((), ()))
+            for cat_dets, cat_gts in buckets[cat]:
                 gts = [g for g in cat_gts if gt_filter(g)]
                 n_gt += len(gts)
                 matrix = np.array(
                     [[sim_fn(d, g) for g in gts] for d in cat_dets], dtype=np.float64
                 ).reshape(len(cat_dets), len(gts))
-                sims.append(matrix)
+                flags.append(_greedy_from_matrix(matrix, thresholds))
                 scores.extend(d.score for d in cat_dets)
             has_gt[cat] = n_gt > 0
             if n_gt == 0:
                 aps[cat] = {t: (0.0 if scores else None) for t in config.thresholds}
                 continue
             aps[cat] = {}
-            score_arr = np.asarray(scores, dtype=np.float64)
-            order = np.argsort(-score_arr, kind="stable")
-            for t in config.thresholds:
-                flags: list[bool] = []
-                for matrix in sims:
-                    flags.extend(_greedy_from_matrix(matrix, t))
-                flag_arr = np.asarray(flags, dtype=bool)[order]
-                ap, sampled = _pr_envelope(flag_arr, n_gt)
+            order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+            ordered = np.concatenate(flags, axis=1)[:, order]
+            for t, t_flags in zip(config.thresholds, ordered):
+                ap, sampled = _pr_envelope(t_flags, n_gt)
                 aps[cat][t] = ap
                 curves_out.append(
                     PRCurve(metric=metric_name, category_id=cat, threshold=t,
@@ -326,28 +327,17 @@ def report_to_csv_rows(report: MetricReport, mode: str | None = None) -> list[li
     def fmt(v: float | None) -> str:
         return "" if v is None else f"{v:.6f}"
 
-    if mode is not None:
-        rows = [["metric", "value"]]
-        rows += [
-            ["mAP_box", fmt(report.box.map)],
-            ["mAP_box@0.50", fmt(report.box.map_50)],
-            ["mAP_box@0.75", fmt(report.box.map_75)],
-            ["mAP_pt", fmt(report.pt[mode].map)],
-            ["mAP_pt@0.50", fmt(report.pt[mode].map_50)],
-            ["mAP_pt@0.75", fmt(report.pt[mode].map_75)],
+    def block_rows(name: str, block: MetricBlock, *visibility: str) -> list[list[str]]:
+        return [
+            [name, *visibility, fmt(block.map)],
+            [f"{name}@0.50", *visibility, fmt(block.map_50)],
+            [f"{name}@0.75", *visibility, fmt(block.map_75)],
         ]
-        return rows
-    rows = [["metric", "visibility", "value"]]
-    rows += [
-        ["mAP_box", "", fmt(report.box.map)],
-        ["mAP_box@0.50", "", fmt(report.box.map_50)],
-        ["mAP_box@0.75", "", fmt(report.box.map_75)],
-    ]
+
+    if mode is not None:
+        return [["metric", "value"], *block_rows("mAP_box", report.box), *block_rows("mAP_pt", report.pt[mode])]
+    rows = [["metric", "visibility", "value"], *block_rows("mAP_box", report.box, "")]
     for m in VISIBILITY_MODES:
         if m in report.pt:
-            rows += [
-                ["mAP_pt", m, fmt(report.pt[m].map)],
-                ["mAP_pt@0.50", m, fmt(report.pt[m].map_50)],
-                ["mAP_pt@0.75", m, fmt(report.pt[m].map_75)],
-            ]
+            rows += block_rows("mAP_pt", report.pt[m], m)
     return rows

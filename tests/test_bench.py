@@ -92,3 +92,14 @@ class TestCompareStrategies:
         default = compare_strategies(scenes, table, NoiseParams(seed=1), fusion=FusionConfig())
         flip = compare_strategies(scenes, table, NoiseParams(seed=1), fusion=FusionConfig(flip_enabled=True))
         assert default.rows()[1:3] == flip.rows()[1:3]
+
+    def test_scales_without_unit_scale(self, table):
+        scenes = synth_scenes(
+            SynthParams(seed=1, num_images=2, image_width=256, image_height=256,
+                        min_box_size=48, max_box_size=96, avoid_cell_boundaries=True),
+            table,
+        )
+        report = compare_strategies(scenes, table, NoiseParams(seed=1), fusion=FusionConfig(scales=(0.75,)))
+        assert tuple(r.name for r in report.results) == STRATEGY_NAMES
+        for result in report.results:
+            assert 0.0 <= result.map_box <= 1.0

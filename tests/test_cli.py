@@ -188,6 +188,15 @@ class TestEval:
                      "--scenes", str(workspace / "scenes.json"), "--sigmas", str(sigmas)]) == 0
         assert "mAP_pt" in capsys.readouterr().out
 
+    def test_non_integer_category_is_data_error(self, workspace, tmp_path, capsys):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps({"detections": [{"image_id": "a", "category_id": [1], "score": 0.5,
+                                                    "bbox": [0, 0, 1, 1], "landmarks": []}]}))
+        assert main(["eval", "--detections", str(dets), "--scenes", str(workspace / "scenes.json")]) == 2
+        err = capsys.readouterr().err
+        assert "detections[0].category_id must be an integer" in err
+        assert "Traceback" not in err
+
 
 class TestBenchCommands:
     def test_bench_runs(self, tmp_path, capsys):

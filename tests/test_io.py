@@ -4,11 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clothdet import (
     Detection,
     FormatError,
     GroundTruthItem,
+    HeadTensorSet,
     Scene,
     SynthParams,
     new_head_tensors,
@@ -35,7 +38,7 @@ def craft_container(entries, payload, version=1, stride=4, magic=b"DMRK"):
     blob = bytearray(magic)
     blob += struct.pack("<III", version, stride, len(entries))
     for name, (c, h, w), offset in entries:
-        encoded = name.encode("utf-8")
+        encoded = name if isinstance(name, bytes) else name.encode("utf-8")
         blob += struct.pack("<H", len(encoded)) + encoded
         blob += struct.pack("<IIIQ", c, h, w, offset)
     blob += struct.pack("<Q", len(payload))
@@ -131,6 +134,42 @@ class TestContainer:
             read_tensors(path)
 
 
+    def test_non_utf8_entry_name(self, tmp_path):
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(craft_container([(b"cen\xfftr", (1, 2, 2), 0)], bytes(16)))
+        with pytest.raises(FormatError, match="entry name at byte 18 is not valid UTF-8"):
+            read_tensors(path)
+
+
+@pytest.fixture(scope="module")
+def small_container(tmp_path_factory):
+    tensors = random_tensor_set(seed=6, height=2, width=3)
+    path = tmp_path_factory.mktemp("fuzz") / "valid.dmrk"
+    write_tensors(path, tensors)
+    blob = path.read_bytes()
+    header_bytes = len(blob) - sum(grid.nbytes for grid in tensors.named().values())
+    return path.with_name("corrupt.dmrk"), blob, header_bytes
+
+
+class TestContainerFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_truncation_or_header_bit_flip(self, small_container, data):
+        path, blob, header_bytes = small_container
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * header_bytes - 1), label="bit")
+            corrupt = bytearray(blob)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(corrupt))
+        try:
+            loaded = read_tensors(path)
+        except FormatError:
+            return
+        assert isinstance(loaded, HeadTensorSet)
+
+
 class TestScenesJson:
     def test_roundtrip(self, tmp_path, table):
         scenes = synth_scenes(SynthParams(seed=7, num_images=5, occlusion_prob=0.3, unlabeled_prob=0.1), table)
@@ -203,6 +242,17 @@ class TestScenesJson:
             read_scenes(path, table)
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"])
+    def test_non_finite_bbox(self, tmp_path, table, value):
+        doc = {"images": [{"image_id": "a", "width": 64, "height": 64, "items": [
+            {"category_id": 1, "bbox": [0, 0, value, 10], "landmarks": []},
+        ]}]}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"images\[0\]\.items\[0\]\.bbox\[2\] is (not a finite number|out of range)"):
+            read_scenes(path, table)
+
+
 class TestDetectionsJson:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -262,4 +312,24 @@ class TestDetectionsJson:
         path = tmp_path / "dets.json"
         path.write_text(json.dumps({"detections": 7}))
         with pytest.raises(FormatError, match="'detections' list"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("field,value", [("bbox", [0, float("nan"), 1, 1]),
+                                             ("landmarks", [1, 2, 1, 3, float("-inf"), 1])])
+    def test_non_finite_values(self, tmp_path, field, value):
+        doc = {"detections": [{"image_id": "a", "category_id": 1, "score": 0.5,
+                               "bbox": [0, 0, 1, 1], "landmarks": []}]}
+        doc["detections"][0][field] = value
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"detections\[0\]\.{field}\[[14]\] is not a finite number"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("category", [1.7, "x", None, [1], True])
+    def test_bad_category_rejected(self, tmp_path, category):
+        doc = {"detections": [{"image_id": "a", "category_id": category, "score": 0.5,
+                               "bbox": [0, 0, 1, 1], "landmarks": []}]}
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"detections\[0\]\.category_id must be an integer"):
             read_detections(path)

@@ -336,12 +336,26 @@ class TestEvaluate:
             EvalConfig(max_detections_per_image=0)
 
 
+# The default config's cases keep their bare seed ids.
+ORACLE_CONFIGS = {
+    "": EvalConfig(),
+    "t0.5": EvalConfig(thresholds=(0.5,)),
+    "t0.3-0.7": EvalConfig(thresholds=(0.3, 0.5, 0.7)),
+    "maxdet1": EvalConfig(max_detections_per_image=1),
+}
+
+
 class TestOracleAgreement:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_bruteforce(self, table, seed):
+    @pytest.mark.parametrize("seed,config", [
+        pytest.param(seed, config, id=f"{name}-{seed}" if name else str(seed))
+        for name, config in ORACLE_CONFIGS.items()
+        for seed in (0, 1, 2)
+    ])
+    def test_matches_bruteforce(self, table, seed, config):
         scenes, dets = perturbed_case(seed, table)
-        report = evaluate(dets, scenes, table)
-        expected = evaluate_bruteforce(dets, scenes, table, EvalConfig().thresholds)
+        report = evaluate(dets, scenes, table, config)
+        expected = evaluate_bruteforce(dets, scenes, table, config.thresholds,
+                                       max_det=config.max_detections_per_image)
         assert report_diffs(report, expected) == []
 
 
@@ -362,12 +376,27 @@ class TestSerialization:
             report_to_dict(report, mode="nope")
 
     def test_csv_rows(self, table):
-        scenes = synth_scenes(SynthParams(seed=15, num_images=2), table)
-        report = evaluate(perfect_detections(scenes), scenes, table)
-        rows = report_to_csv_rows(report)
-        assert rows[0] == ["metric", "visibility", "value"]
-        assert all(len(r) == 3 for r in rows)
-        named = report_to_csv_rows(report, mode="visible_only")
-        assert named[0] == ["metric", "value"]
-        assert ["mAP_box", "1.000000"] in named
-        assert ["mAP_pt", "1.000000"] in named
+        scenes = synth_scenes(SynthParams(seed=16, num_images=4, occlusion_prob=0.3), table)
+        dets = noisy_detections(scenes, np.random.default_rng(16), box_noise=10.0, lm_noise=4.0)
+        report = evaluate(dets, scenes, table)
+        assert report_to_csv_rows(report) == [
+            ["metric", "visibility", "value"],
+            ["mAP_box", "", "0.662659"],
+            ["mAP_box@0.50", "", "0.971711"],
+            ["mAP_box@0.75", "", "0.687412"],
+            ["mAP_pt", "visible_only", "0.340594"],
+            ["mAP_pt@0.50", "visible_only", "0.836634"],
+            ["mAP_pt@0.75", "visible_only", "0.214993"],
+            ["mAP_pt", "visible_and_occluded", "0.367610"],
+            ["mAP_pt@0.50", "visible_and_occluded", "0.943423"],
+            ["mAP_pt@0.75", "visible_and_occluded", "0.224894"],
+        ]
+        assert report_to_csv_rows(report, mode="visible_and_occluded") == [
+            ["metric", "value"],
+            ["mAP_box", "0.662659"],
+            ["mAP_box@0.50", "0.971711"],
+            ["mAP_box@0.75", "0.687412"],
+            ["mAP_pt", "0.367610"],
+            ["mAP_pt@0.50", "0.943423"],
+            ["mAP_pt@0.75", "0.224894"],
+        ]
