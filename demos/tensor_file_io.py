@@ -3,7 +3,10 @@ The three file formats: tensor containers, scenes, detections
 =============================================================
 
 Head tensors travel in a little-endian binary container (magic DMRK): a
-fixed header, a directory of named float32 blocks, then the raw payload.
+fixed header, a directory of named float32 blocks, then the payload. Each
+block is dense (every value) or sparse (a count, then the flat indices and
+values of the nonzeros), whichever is smaller; encoder output is almost all
+zeros, so its blocks are sparse.
 Scenes and detections are plain JSON. This script writes all three,
 peeks at the container bytes, and reads everything back.
 """
@@ -39,19 +42,30 @@ print(f"{tensor_path.name}: {len(raw)} bytes")
 magic, version, stride, n_entries = struct.unpack_from("<4sIII", raw)
 print(f"  magic {magic}  version {version}  stride {stride}  entries {n_entries}")
 
-# Each directory entry names one float32 block: its shape plus where the
-# block starts inside the payload.
+# Each directory entry names one block: the tensor's shape, its encoding
+# and where the block starts inside the payload.
 pos = struct.calcsize("<4sIII")
+entries = []
 for _ in range(n_entries):
     name_len = struct.unpack_from("<H", raw, pos)[0]
     pos += 2
     name = raw[pos:pos + name_len].decode()
     pos += name_len
-    channels, height, width, start = struct.unpack_from("<IIIQ", raw, pos)
-    pos += struct.calcsize("<IIIQ")
-    print(f"    {name:16s} {channels:3d} x {height} x {width}  payload offset {start}")
+    channels, height, width, encoding, start = struct.unpack_from("<IIIBQ", raw, pos)
+    pos += struct.calcsize("<IIIBQ")
+    entries.append((name, channels, height, width, encoding, start))
 payload_size = struct.unpack_from("<Q", raw, pos)[0]
-print(f"  payload: {payload_size} bytes of little-endian float32")
+payload = pos + 8
+for name, channels, height, width, encoding, start in entries:
+    if encoding == 1:
+        kind, nonzeros = "sparse", struct.unpack_from("<I", raw, payload + start)[0]
+    else:
+        block = np.frombuffer(raw, "<f4", channels * height * width, payload + start)
+        kind, nonzeros = "dense", int(np.count_nonzero(block))
+    print(f"    {name:16s} {channels:3d} x {height} x {width}  {kind:6s} {nonzeros:5d} nonzeros"
+          f"  payload offset {start}")
+dense_bytes = sum(4 * c * h * w for _, c, h, w, _, _ in entries)
+print(f"  payload: {payload_size} bytes ({dense_bytes} if every block were dense)")
 
 same = read_tensors(tensor_path)
 assert all(np.array_equal(g, tensors.named()[n]) for n, g in same.named().items())

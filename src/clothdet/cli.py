@@ -22,6 +22,7 @@ from .categories import CategoryTable, default_table, load_category_table
 from .decode import DecodeConfig, decode_scene
 from .encode import EncodeParams, encode_scene
 from .fileio import read_detections, read_scenes, read_tensors, write_detections, write_scenes, write_tensors
+from .heads import require_shapes
 from .metrics import (
     VISIBLE_AND_OCCLUDED,
     VISIBLE_ONLY,
@@ -174,6 +175,8 @@ def _cmd_decode(args) -> int:
 def _cmd_fuse(args) -> int:
     table = _load_table(args)
     sets = [read_tensors(path) for path in args.inputs]
+    for tensors in sets:
+        require_shapes(tensors, table)
     unflip = {int(tok) for tok in args.unflip.split(",") if tok} if args.unflip else set()
     bad = [i for i in unflip if not 0 <= i < len(sets)]
     if bad:

@@ -2,14 +2,25 @@
 
 Container layout (all integers little-endian):
     magic        4 bytes  b"DMRK"
-    version      u32      currently 1
+    version      u32      2 (version 1 files are still read)
     stride       u32
     entry count  u32
     per entry:   u16 name length, utf-8 name, u32 channels, u32 height,
-                 u32 width, u64 byte offset into the payload
+                 u32 width, u8 encoding (absent in version 1, where every
+                 block is dense), u64 byte offset into the payload
     payload size u64
-    payload      raw float32 little-endian values, row-major,
-                 channel-outermost, one block per directory entry
+    payload      one block per directory entry
+
+A block holds the tensor's C*H*W float32 values, row-major and
+channel-outermost, in one of two encodings:
+    0 dense      all C*H*W values as little-endian f32
+    1 sparse     u32 count n, then n strictly ascending u32 flat indices,
+                 then the n f32 values at those indices; every other value
+                 is +0.0
+`write_tensors` stores a tensor sparse when that takes fewer bytes and the
+tensor has fewer than 2**32 values, so peaky encoder output is a few
+kilobytes while dense network output keeps dense blocks. All six tensors
+share center's height and width.
 
 Annotation JSON: {"images": [{"image_id", "width", "height",
 "items": [{"category_id", "bbox": [x1,y1,x2,y2], "landmarks": [x,y,v,...]}]}]}.
@@ -34,41 +45,62 @@ from .scene import Detection, GroundTruthItem, Scene, clamp_scene, validate_scen
 logger = logging.getLogger(__name__)
 
 MAGIC = b"DMRK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DENSE, SPARSE = 0, 1
 
 
 class FormatError(ValueError):
     """Raised for malformed container or JSON files; messages carry locations."""
 
 
+def _block(grid: np.ndarray) -> tuple[int, list]:
+    """The encoding of one tensor and the arrays that make up its block."""
+    flat = np.ascontiguousarray(grid, dtype="<f4").reshape(-1)
+    # Nonzero by bit pattern, so -0.0 and every NaN payload are kept.
+    nonzero = flat.view(np.uint32) != 0
+    count = int(np.count_nonzero(nonzero))
+    if flat.size >= 2**32 or 4 + 8 * count >= flat.nbytes:
+        return DENSE, [flat]
+    indices = np.flatnonzero(nonzero)
+    return SPARSE, [np.array([count], dtype="<u4"), indices.astype("<u4"), flat[indices]]
+
+
 def write_tensors(path, tensors: HeadTensorSet) -> None:
     """Serialize a head tensor set to a DMRK container file."""
     named = tensors.named()
-    directory = []
-    payload = bytearray()
+    header = bytearray(MAGIC)
+    header += struct.pack("<III", FORMAT_VERSION, tensors.stride, len(TENSOR_NAMES))
+    blocks = []
+    offset = 0
     for name in TENSOR_NAMES:
-        grid = np.ascontiguousarray(named[name], dtype="<f4")
-        directory.append((name, grid.shape, len(payload)))
-        payload += grid.tobytes()
-
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<III", FORMAT_VERSION, tensors.stride, len(directory))
-    for name, (channels, height, width), offset in directory:
+        channels, height, width = named[name].shape
+        encoding, parts = _block(named[name])
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<IIIQ", channels, height, width, offset)
-    blob += struct.pack("<Q", len(payload))
-    blob += payload
-    Path(path).write_bytes(blob)
+        header += struct.pack("<H", len(encoded)) + encoded
+        header += struct.pack("<IIIBQ", channels, height, width, encoding, offset)
+        blocks += parts
+        offset += sum(part.nbytes for part in parts)
+    header += struct.pack("<Q", offset)
+    with open(path, "wb") as f:
+        f.write(header)
+        for part in blocks:
+            f.write(part)
 
 
 def read_tensors(path) -> HeadTensorSet:
-    """Read a DMRK container back into a HeadTensorSet.
+    """Read a DMRK container (version 1 or 2) back into a HeadTensorSet.
+
+    Version 1 entries carry no encoding byte and are read as dense blocks.
+    A sparse block's extent is its 4-byte count plus 8 bytes per nonzero;
+    its tensor starts as zeros and the values are scattered in.
 
     Raises:
         FormatError: bad magic, unsupported version, malformed or overlapping
-            directory (including entry names that are not UTF-8), or
+            directory (including entry names that are not UTF-8), an unknown
+            encoding, a block or sparse count that runs past the payload,
+            a sparse entry of 2**32 or more values, sparse indices that are
+            not strictly ascending or not below the tensor's C*H*W values,
+            tensors whose height and width differ from center's, or
             truncated payload. No other exception escapes for malformed bytes.
     """
     data = Path(path).read_bytes()
@@ -83,11 +115,10 @@ def read_tensors(path) -> HeadTensorSet:
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
     (version, stride, count), pos = take("<III", 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported container version {version}, expected {FORMAT_VERSION}")
+    if version not in (1, FORMAT_VERSION):
+        raise FormatError(f"unsupported container version {version}, expected 1 or {FORMAT_VERSION}")
 
     entries = {}
-    spans = []
     for index in range(count):
         (name_len,), pos = take("<H", pos)
         if pos + name_len > len(data):
@@ -97,17 +128,35 @@ def read_tensors(path) -> HeadTensorSet:
         except UnicodeDecodeError as exc:
             raise FormatError(f"entry name at byte {pos} is not valid UTF-8") from exc
         pos += name_len
-        (channels, height, width, offset), pos = take("<IIIQ", pos)
+        (channels, height, width), pos = take("<III", pos)
+        encoding = DENSE
+        if version > 1:
+            (encoding,), pos = take("<B", pos)
+        (offset,), pos = take("<Q", pos)
         if name in entries:
             raise FormatError(f"duplicate directory entry {name!r}")
-        entries[name] = (channels, height, width, offset)
-        spans.append((offset, offset + 4 * channels * height * width, name))
+        if encoding not in (DENSE, SPARSE):
+            raise FormatError(f"directory entry {name!r} has unknown encoding {encoding}")
+        entries[name] = (channels, height, width, encoding, offset)
 
     (payload_size,), pos = take("<Q", pos)
     actual = len(data) - pos
     if actual < payload_size:
         raise FormatError(f"truncated payload: expected {payload_size} bytes, got {actual}")
 
+    spans = []
+    nonzeros = {}
+    for name, (channels, height, width, encoding, offset) in entries.items():
+        if encoding == DENSE:
+            extent = 4 * channels * height * width
+        else:
+            if offset + 4 > payload_size:
+                raise FormatError(f"sparse count of {name!r} at byte {offset} runs past payload size {payload_size}")
+            if channels * height * width >= 2**32:
+                raise FormatError(f"sparse entry {name!r} declares {channels * height * width} values, 2**32 or more")
+            (nonzeros[name],) = struct.unpack_from("<I", view, pos + offset)
+            extent = 4 + 8 * nonzeros[name]
+        spans.append((offset, offset + extent, name))
     spans.sort()
     for (a_lo, a_hi, a_name), (b_lo, b_hi, b_name) in zip(spans, spans[1:]):
         if b_lo < a_hi:
@@ -120,14 +169,41 @@ def read_tensors(path) -> HeadTensorSet:
     missing = [name for name in TENSOR_NAMES if name not in entries]
     if missing:
         raise FormatError(f"container is missing tensors {missing}")
+    # Checked before any allocation: a sparse block's size does not bound its shape.
+    height, width = entries["center"][1:3]
+    for name in TENSOR_NAMES:
+        if entries[name][1:3] != (height, width):
+            raise FormatError(
+                f"directory entry {name!r} is {entries[name][1]}x{entries[name][2]}, but 'center' is {height}x{width}"
+            )
 
     grids = {}
     for name in TENSOR_NAMES:
-        channels, height, width, offset = entries[name]
+        channels, height, width, encoding, offset = entries[name]
         start = pos + offset
-        grid = np.frombuffer(data, dtype="<f4", count=channels * height * width, offset=start)
-        grids[name] = grid.reshape(channels, height, width).copy()
+        size = channels * height * width
+        if encoding == DENSE:
+            grid = np.frombuffer(data, dtype="<f4", count=size, offset=start).copy()
+        else:
+            grid = _scatter(name, data, start, nonzeros[name], size)
+        grids[name] = grid.reshape(channels, height, width)
     return HeadTensorSet(stride=stride, **grids)
+
+
+def _scatter(name: str, data: bytes, start: int, count: int, size: int) -> np.ndarray:
+    """Dense values of the sparse block of `count` nonzeros at byte `start`."""
+    indices = np.frombuffer(data, dtype="<u4", count=count, offset=start + 4)
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=start + 4 + 4 * count)
+    if (indices[1:] <= indices[:-1]).any():
+        raise FormatError(f"sparse indices of {name!r} are not strictly ascending")
+    if count and indices[-1] >= size:
+        raise FormatError(f"sparse index {indices[-1]} of {name!r} is out of range for {size} values")
+    try:
+        grid = np.zeros(size, dtype=np.float32)
+    except MemoryError:
+        raise FormatError(f"sparse entry {name!r} declares {size} values, more than can be allocated") from None
+    grid[indices] = values
+    return grid
 
 
 def _require(doc: dict, key: str, where: str):
@@ -136,12 +212,17 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _number_list(values, where: str, multiple_of: int) -> np.ndarray:
     if not isinstance(values, list) or len(values) % multiple_of != 0:
         raise FormatError(f"{where} must be a flat list with length a multiple of {multiple_of}")
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FormatError(f"{where}[{i}] is not a number")
+    # json.loads yields exact int and float objects for numbers; bool, str,
+    # None, list and dict are the other types a value can have.
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        i = next(i for i, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+        raise FormatError(f"{where}[{i}] is not a number")
     try:
         array = np.array(values, dtype=np.float64)
     except OverflowError:

@@ -89,14 +89,8 @@ def _first_cell(mask: np.ndarray) -> tuple[int, int, int]:
     return int(c), int(r), int(col)
 
 
-def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
-    """Check channel counts, consistent spatial dims, and heatmap values.
-
-    Heatmap values must be finite and lie in [0, 1], since decode reports
-    them as scores.
-
-    Returns a result listing every issue found (empty issue list means valid).
-    """
+def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
+    """Issues with channel counts, spatial dims and stride; reads no values."""
     issues: list[str] = []
     expected = _expected_channels(table)
     shapes = {}
@@ -116,12 +110,23 @@ def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> Valid
 
     if tensors.stride < 1:
         issues.append(f"stride must be >= 1, got {tensors.stride}")
+    return issues
 
+
+def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
+    """Check channel counts, consistent spatial dims, and heatmap values.
+
+    Heatmap values must be finite and lie in [0, 1], since decode reports
+    them as scores.
+
+    Returns a result listing every issue found (empty issue list means valid).
+    """
+    issues = _shape_issues(tensors, table)
     # Finiteness and range of the heatmaps. min/max scan first; locating the
     # bad cell is only paid on the failure path.
     for name in ("center", "kp_heatmap"):
         grid = getattr(tensors, name)
-        if name in shapes and grid.size:
+        if isinstance(grid, np.ndarray) and grid.ndim == 3 and grid.size:
             lo, hi = grid.min(), grid.max()
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 c, r, col = _first_cell(~np.isfinite(grid))
@@ -137,3 +142,10 @@ def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> None:
     result = validate_head_tensors(tensors, table)
     if not result.ok:
         raise TensorValidationError(list(result.issues))
+
+
+def require_shapes(tensors: HeadTensorSet, table: CategoryTable) -> None:
+    """The shape part of require_valid, for callers that transform a set before decoding it."""
+    issues = _shape_issues(tensors, table)
+    if issues:
+        raise TensorValidationError(issues)

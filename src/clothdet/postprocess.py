@@ -16,7 +16,7 @@ import numpy as np
 
 from .categories import CategoryTable
 from .decode import DecodeConfig, decode_scene
-from .heads import HeadTensorSet
+from .heads import HeadTensorSet, require_shapes
 from .scene import Detection
 
 DEFAULT_SCALES = (1.0, 0.75)
@@ -200,6 +200,9 @@ def infer(
     per_scale = []
     for scale, tensors, mirrored in views:
         if mirrored is not None:
+            # Shapes first: flipping and fusing touch every value a set declares.
+            require_shapes(tensors, table)
+            require_shapes(mirrored, table)
             # Rebinding drops the raw mirrored set before the float64 fusion,
             # which is the peak of memory use.
             mirrored = flip_tensors(mirrored, table)

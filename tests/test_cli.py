@@ -148,6 +148,13 @@ class TestFuse:
                      "--weights", "2,0"]) == 0
         assert out.read_bytes() == src[0].read_bytes()
 
+    def test_wrong_channel_count_is_data_error(self, tmp_path, capsys):
+        src, out = tmp_path / "t.dmrk", tmp_path / "f.dmrk"
+        write_tensors(src, new_head_tensors(4, 4, 4, num_categories=5))
+        assert main(["fuse", "--inputs", str(src), "--out", str(out), "--unflip", "0"]) == 2
+        assert "center: expected 13 channels, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unflip_out_of_range(self, workspace, tmp_path, capsys):
         src = sorted((workspace / "tensors").glob("*.dmrk"))
         assert main(["fuse", "--inputs", str(src[0]), "--out", str(tmp_path / "f.dmrk"),

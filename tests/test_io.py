@@ -14,6 +14,7 @@ from clothdet import (
     HeadTensorSet,
     Scene,
     SynthParams,
+    encode_scene,
     new_head_tensors,
     read_detections,
     read_scenes,
@@ -35,20 +36,66 @@ def random_tensor_set(seed=0, height=12, width=20, stride=4):
 
 
 def craft_container(entries, payload, version=1, stride=4, magic=b"DMRK"):
+    """Entries are (name, shape, offset), plus an encoding byte (default 0, dense) from version 2 on."""
     blob = bytearray(magic)
     blob += struct.pack("<III", version, stride, len(entries))
-    for name, (c, h, w), offset in entries:
+    for name, (c, h, w), offset, *encoding in entries:
         encoded = name if isinstance(name, bytes) else name.encode("utf-8")
         blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<IIIQ", c, h, w, offset)
+        blob += struct.pack("<III", c, h, w)
+        if version > 1:
+            blob += struct.pack("<B", *(encoding or [0]))
+        blob += struct.pack("<Q", offset)
     blob += struct.pack("<Q", len(payload))
     blob += payload
     return bytes(blob)
 
 
+def dense_v1_container(tensors):
+    entries, payload = [], bytearray()
+    for name, grid in tensors.named().items():
+        entries.append((name, grid.shape, len(payload)))
+        payload += grid.astype("<f4").tobytes()
+    return craft_container(entries, bytes(payload), version=1, stride=tensors.stride)
+
+
+def sparse_block(indices):
+    """A sparse block holding 1.0 at each flat index."""
+    return struct.pack("<I", len(indices)) + np.asarray(indices, "<u4").tobytes() + np.ones(len(indices), "<f4").tobytes()
+
+
+def sparse_container(height=2, width=2, **blocks):
+    """A version 2 container of sparse blocks; tensors not named in `blocks` hold no nonzeros."""
+    entries, payload = [], bytearray()
+    for name in TENSOR_NAMES:
+        entries.append((name, grid_shape(name, height, width), len(payload), 1))
+        payload += blocks.get(name, sparse_block([]))
+    return craft_container(entries, bytes(payload), version=2)
+
+
+def directory(blob):
+    """(name, encoding) per directory entry and the payload size of a version 2 container."""
+    (count,) = struct.unpack_from("<I", blob, 12)
+    pos, out = 16, []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        name = blob[pos + 2 : pos + 2 + name_len].decode()
+        pos += 2 + name_len
+        out.append((name, blob[pos + 12]))
+        pos += 21
+    return out, struct.unpack_from("<Q", blob, pos)[0]
+
+
+def assert_bits_equal(loaded, tensors):
+    for name, grid in tensors.named().items():
+        got = loaded.named()[name]
+        assert got.dtype == np.float32 and got.shape == grid.shape, name
+        np.testing.assert_array_equal(got.view(np.uint32), grid.view(np.uint32), err_msg=name)
+
+
 def grid_shape(name, height, width):
-    tensors = new_head_tensors(height, width, 4)
-    return tensors.named()[name].shape
+    channels = new_head_tensors(1, 1, 4).named()[name].shape[0]
+    return channels, height, width
 
 
 class TestContainer:
@@ -78,8 +125,8 @@ class TestContainer:
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "t.dmrk"
-        path.write_bytes(craft_container([], b"", version=2))
-        with pytest.raises(FormatError, match="unsupported container version 2"):
+        path.write_bytes(craft_container([], b"", version=3))
+        with pytest.raises(FormatError, match="unsupported container version 3, expected 1 or 2"):
             read_tensors(path)
 
     def test_truncated_header(self, tmp_path):
@@ -133,11 +180,115 @@ class TestContainer:
         with pytest.raises(FormatError, match=r"missing tensors \['kp_refine_offset'\]"):
             read_tensors(path)
 
-
     def test_non_utf8_entry_name(self, tmp_path):
         path = tmp_path / "t.dmrk"
         path.write_bytes(craft_container([(b"cen\xfftr", (1, 2, 2), 0)], bytes(16)))
         with pytest.raises(FormatError, match="entry name at byte 18 is not valid UTF-8"):
+            read_tensors(path)
+
+
+class TestSparseContainer:
+    def test_roundtrip_keeps_signed_zero_nan_and_subnormal(self, tmp_path):
+        tensors = new_head_tensors(6, 5, 4)
+        tensors.center[2, 1, 3] = 0.5
+        tensors.center[4, 0, 0] = -0.0
+        tensors.wh[1, 5, 4] = np.array(0x7FC0BEEF, dtype=np.uint32).view(np.float32)
+        tensors.kp_offset[7, 2, 2] = np.array(0xFF800001, dtype=np.uint32).view(np.float32)
+        tensors.kp_refine_offset[0, 3, 1] = np.array(1, dtype=np.uint32).view(np.float32)
+        path = tmp_path / "t.dmrk"
+        write_tensors(path, tensors)
+        entries, _ = directory(path.read_bytes())
+        assert [encoding for _, encoding in entries] == [1] * len(TENSOR_NAMES)
+        assert_bits_equal(read_tensors(path), tensors)
+
+    def test_dense_set_writes_dense_blocks(self, tmp_path):
+        tensors = random_tensor_set(seed=9)
+        path = tmp_path / "t.dmrk"
+        write_tensors(path, tensors)
+        entries, payload_size = directory(path.read_bytes())
+        assert entries == [(name, 0) for name in TENSOR_NAMES]
+        assert payload_size == sum(grid.nbytes for grid in tensors.named().values())
+
+    def test_encoder_view_writes_sparse_blocks(self, tmp_path, table):
+        scene = synth_scenes(SynthParams(seed=2, num_images=1, image_width=160, image_height=128, max_box_size=96), table)[0]
+        tensors = encode_scene(scene, table)
+        path = tmp_path / "t.dmrk"
+        write_tensors(path, tensors)
+        entries, payload_size = directory(path.read_bytes())
+        assert [encoding for _, encoding in entries] == [1] * len(TENSOR_NAMES)
+        nonzeros = sum(int(np.count_nonzero(grid)) for grid in tensors.named().values())
+        assert payload_size == 4 * len(TENSOR_NAMES) + 8 * nonzeros
+        assert_bits_equal(read_tensors(path), tensors)
+
+    def test_v1_container_reads_like_its_v2_rewrite(self, tmp_path):
+        tensors = random_tensor_set(seed=10, height=4, width=6)
+        tensors.kp_heatmap[:] = 0
+        tensors.kp_heatmap[5, 1, 2] = 0.25
+        v1, v2 = tmp_path / "v1.dmrk", tmp_path / "v2.dmrk"
+        v1.write_bytes(dense_v1_container(tensors))
+        old = read_tensors(v1)
+        write_tensors(v2, old)
+        entries, _ = directory(v2.read_bytes())
+        assert dict(entries)["kp_heatmap"] == 1 and dict(entries)["wh"] == 0
+        assert_bits_equal(old, tensors)
+        assert_bits_equal(read_tensors(v2), tensors)
+
+    @pytest.mark.parametrize("indices,message", [
+        ([3, 1], "sparse indices of 'center' are not strictly ascending"),
+        ([2, 2], "sparse indices of 'center' are not strictly ascending"),
+        ([0, 52], "sparse index 52 of 'center' is out of range for 52 values"),
+    ], ids=["unsorted", "duplicate", "out-of-range"])
+    def test_bad_indices(self, tmp_path, indices, message):
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(sparse_container(center=sparse_block(indices)))
+        with pytest.raises(FormatError, match=message):
+            read_tensors(path)
+
+    def test_count_overruns_payload(self, tmp_path):
+        blob = sparse_container(kp_refine_offset=sparse_block([1]))
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(blob[:-12] + struct.pack("<I", 2) + blob[-8:])
+        with pytest.raises(FormatError, match=r"'kp_refine_offset' ends at byte \d+, past payload size"):
+            read_tensors(path)
+
+    def test_count_past_payload(self, tmp_path):
+        entries = [(name, grid_shape(name, 2, 2), 0 if name == "center" else 4, 1) for name in TENSOR_NAMES[:2]]
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(craft_container(entries, bytes(4), version=2))
+        with pytest.raises(FormatError, match="sparse count of 'wh' at byte 4 runs past payload size 4"):
+            read_tensors(path)
+
+    def test_height_differs_from_center(self, tmp_path):
+        # A sparse block's size does not bound its shape, so this edit alone
+        # would otherwise declare a 13x33554434x3 center of 5.2 GB.
+        blob = bytearray(sparse_container(height=2, width=3, center=sparse_block([1])))
+        assert struct.unpack_from("<III", blob, 24) == (13, 2, 3)  # center's channels, height, width
+        struct.pack_into("<I", blob, 28, 2**25 + 2)
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="directory entry 'wh' is 2x3, but 'center' is 33554434x3"):
+            read_tensors(path)
+
+    def test_sparse_entry_of_2_32_values(self, tmp_path):
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(sparse_container(height=2**31, width=2**31))
+        with pytest.raises(FormatError, match=r"sparse entry 'center' declares \d+ values, 2\*\*32 or more"):
+            read_tensors(path)
+
+    def test_unallocatable_sparse_entry(self, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(sparse_container())
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(FormatError, match="sparse entry 'center' declares 52 values, more than can be allocated"):
+            read_tensors(path)
+
+    def test_unknown_encoding(self, tmp_path):
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(craft_container([("center", (1, 2, 2), 0, 7)], bytes(16), version=2))
+        with pytest.raises(FormatError, match="directory entry 'center' has unknown encoding 7"):
             read_tensors(path)
 
 
@@ -151,6 +302,27 @@ def small_container(tmp_path_factory):
     return path.with_name("corrupt.dmrk"), blob, header_bytes
 
 
+@pytest.fixture(scope="module")
+def sparse_small_container(tmp_path_factory):
+    tensors = new_head_tensors(2, 3, 4)
+    tensors.center[1, 0, 2] = 0.5
+    tensors.center[12, 1, 1] = 1.0
+    tensors.wh[:, 1, 1] = (3.0, -0.0)
+    tensors.kp_heatmap[100, 0, 0] = 0.75
+    path = tmp_path_factory.mktemp("fuzz") / "valid.dmrk"
+    write_tensors(path, tensors)
+    return path.with_name("corrupt.dmrk"), path.read_bytes()
+
+
+def load_or_format_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        loaded = read_tensors(path)
+    except FormatError:
+        return
+    assert isinstance(loaded, HeadTensorSet)
+
+
 class TestContainerFuzz:
     @given(data=st.data())
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -162,12 +334,19 @@ class TestContainerFuzz:
             bit = data.draw(st.integers(0, 8 * header_bytes - 1), label="bit")
             corrupt = bytearray(blob)
             corrupt[bit // 8] ^= 1 << (bit % 8)
-        path.write_bytes(bytes(corrupt))
-        try:
-            loaded = read_tensors(path)
-        except FormatError:
-            return
-        assert isinstance(loaded, HeadTensorSet)
+        load_or_format_error(path, bytes(corrupt))
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_sparse_truncation_or_bit_flip(self, sparse_small_container, data):
+        path, blob = sparse_small_container
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            corrupt = bytearray(blob)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+        load_or_format_error(path, bytes(corrupt))
 
 
 class TestScenesJson:
@@ -323,6 +502,15 @@ class TestDetectionsJson:
         path = tmp_path / "dets.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=rf"detections\[0\]\.{field}\[[14]\] is not a finite number"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("value", [True, None, "1", [1], {}], ids=["bool", "null", "str", "list", "dict"])
+    def test_non_number_names_first_bad_index(self, tmp_path, value):
+        doc = {"detections": [{"image_id": "a", "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1],
+                               "landmarks": [1, 2.5, 1, 3, value, 1, 4, "later", 0]}]}
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"^detections\[0\]\.landmarks\[4\] is not a number$"):
             read_detections(path)
 
     @pytest.mark.parametrize("category", [1.7, "x", None, [1], True])

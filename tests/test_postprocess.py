@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from clothdet import (
     DecodeConfig,
     HeadTensorSet,
     SynthParams,
+    TensorValidationError,
     decode_scene,
     encode_scene,
     evaluate,
@@ -353,6 +356,12 @@ class TestInfer:
         assert same_detections(got, decode_scene(fused, paired_table, self.CONFIG))
         report = evaluate({scene.image_id: got}, [scene], paired_table)
         assert report.box.map == 1.0
+
+    def test_mirrored_shapes_checked_before_flipping(self, paired_table):
+        plain = new_head_tensors(4, 4, 4)
+        mirrored = replace(plain, kp_heatmap=plain.kp_heatmap[:10])
+        with pytest.raises(TensorValidationError, match="kp_heatmap: expected 294 channels, got 10"):
+            infer([(1.0, plain, mirrored)], paired_table, self.CONFIG, None)
 
     def test_scales_merge_in_original_pixels(self, table):
         scene = self.scene(table)
