@@ -40,13 +40,18 @@ import numpy as np
 
 from .categories import CategoryTable
 from .heads import TENSOR_NAMES, HeadTensorSet
-from .scene import Detection, GroundTruthItem, Scene, clamp_scene, validate_scene
+from .scene import Detection, GroundTruthItem, Scene, SceneError, clamp_scene, validate_scene
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"DMRK"
 FORMAT_VERSION = 2
 DENSE, SPARSE = 0, 1
+# The most values a container's six tensors may declare together: 1 GiB of
+# float32, above the 236M that the 901 channels of a 2048x2048 image need
+# at stride 4. A sparse block's size does not bound its shape, so without a
+# limit a few hundred bytes could ask for gigabytes.
+MAX_VALUES = 2**28
 
 
 class FormatError(ValueError):
@@ -67,7 +72,8 @@ def _block(grid: np.ndarray) -> tuple[int, list]:
 
 def write_tensors(path, tensors: HeadTensorSet) -> None:
     """Serialize a head tensor set to a DMRK container file."""
-    named = tensors.named()
+    # Lazy grids from flip_tensors and fuse_tensors materialise here.
+    named = {name: np.asarray(grid) for name, grid in tensors.named().items()}
     header = bytearray(MAGIC)
     header += struct.pack("<III", FORMAT_VERSION, tensors.stride, len(TENSOR_NAMES))
     blocks = []
@@ -91,7 +97,8 @@ def read_tensors(path) -> HeadTensorSet:
     """Read a DMRK container (version 1 or 2) back into a HeadTensorSet.
 
     Version 1 entries carry no encoding byte and are read as dense blocks.
-    A sparse block's extent is its 4-byte count plus 8 bytes per nonzero;
+    A dense tensor is a read-only view of the file's bytes, not a copy. A
+    sparse block's extent is its 4-byte count plus 8 bytes per nonzero;
     its tensor starts as zeros and the values are scattered in.
 
     Raises:
@@ -100,7 +107,8 @@ def read_tensors(path) -> HeadTensorSet:
             encoding, a block or sparse count that runs past the payload,
             a sparse entry of 2**32 or more values, sparse indices that are
             not strictly ascending or not below the tensor's C*H*W values,
-            tensors whose height and width differ from center's, or
+            tensors whose height and width differ from center's, tensors
+            that together declare more than MAX_VALUES values, or
             truncated payload. No other exception escapes for malformed bytes.
     """
     data = Path(path).read_bytes()
@@ -176,6 +184,9 @@ def read_tensors(path) -> HeadTensorSet:
             raise FormatError(
                 f"directory entry {name!r} is {entries[name][1]}x{entries[name][2]}, but 'center' is {height}x{width}"
             )
+    declared = sum(entries[name][0] for name in TENSOR_NAMES) * height * width
+    if declared > MAX_VALUES:
+        raise FormatError(f"container declares {declared} values, more than the {MAX_VALUES} allowed")
 
     grids = {}
     for name in TENSOR_NAMES:
@@ -183,7 +194,7 @@ def read_tensors(path) -> HeadTensorSet:
         start = pos + offset
         size = channels * height * width
         if encoding == DENSE:
-            grid = np.frombuffer(data, dtype="<f4", count=size, offset=start).copy()
+            grid = np.frombuffer(data, dtype="<f4", count=size, offset=start)
         else:
             grid = _scatter(name, data, start, nonzeros[name], size)
         grids[name] = grid.reshape(channels, height, width)
@@ -235,6 +246,13 @@ def _number_list(values, where: str, multiple_of: int) -> np.ndarray:
     return array
 
 
+def _image_id(raw: dict, where: str) -> str:
+    image_id = _require(raw, "image_id", where)
+    if type(image_id) not in (str, int):
+        raise FormatError(f"{where}.image_id must be a string or an integer")
+    return str(image_id)
+
+
 def _category(raw: dict, where: str) -> int:
     category = _require(raw, "category_id", where)
     if not isinstance(category, int) or isinstance(category, bool):
@@ -254,10 +272,17 @@ def _parse_item(raw: dict, where: str) -> GroundTruthItem:
 
 
 def read_scenes(path, table: CategoryTable) -> list[Scene]:
-    """Read and validate annotation JSON; clamps coordinates to image bounds."""
+    """Read and validate annotation JSON; clamps coordinates to image bounds.
+
+    Raises:
+        FormatError: malformed JSON or schema, naming the first bad field,
+            and items that do not match the category table.
+    """
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    # ValueError, not only JSONDecodeError: bytes that are not UTF-8 and
+    # integers of more than 4300 digits raise other ValueErrors.
+    except ValueError as exc:
         raise FormatError(f"annotation file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("images"), list):
         raise FormatError("annotation document must be an object with an 'images' list")
@@ -268,19 +293,23 @@ def read_scenes(path, table: CategoryTable) -> list[Scene]:
         where = f"images[{i}]"
         if not isinstance(raw, dict):
             raise FormatError(f"{where} is not an object")
-        image_id = _require(raw, "image_id", where)
+        image_id = _image_id(raw, where)
         width = _require(raw, "width", where)
         height = _require(raw, "height", where)
-        if not isinstance(width, int) or not isinstance(height, int) or width <= 0 or height <= 0:
-            raise FormatError(f"{where}: width/height must be positive integers")
+        # type(), not isinstance: JSON true and false are ints to isinstance.
+        if not all(type(side) is int and 0 < side < 2**31 for side in (width, height)):
+            raise FormatError(f"{where}: width/height must be integers in [1, 2**31)")
         items_raw = _require(raw, "items", where)
         if not isinstance(items_raw, list):
             raise FormatError(f"{where}.items must be a list")
         items = tuple(_parse_item(item, f"{where}.items[{j}]") for j, item in enumerate(items_raw))
-        scene = Scene(image_id=str(image_id), width=width, height=height, items=items)
+        scene = Scene(image_id=image_id, width=width, height=height, items=items)
         scene, moved = clamp_scene(scene)
         clamped_total += moved
-        validate_scene(scene, table)
+        try:
+            validate_scene(scene, table)
+        except SceneError as exc:
+            raise FormatError(f"{where}: {exc}") from None
         scenes.append(scene)
     if clamped_total:
         logger.warning("clamped out-of-bounds coordinates on %d items during ingestion", clamped_total)
@@ -313,7 +342,7 @@ def read_detections(path) -> dict[str, list[Detection]]:
     """Read detection JSON into per-image lists, preserving file order."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"detection file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("detections"), list):
         raise FormatError("detection document must be an object with a 'detections' list")
@@ -323,7 +352,7 @@ def read_detections(path) -> dict[str, list[Detection]]:
         where = f"detections[{i}]"
         if not isinstance(raw, dict):
             raise FormatError(f"{where} is not an object")
-        image_id = str(_require(raw, "image_id", where))
+        image_id = _image_id(raw, where)
         category = _category(raw, where)
         score = _require(raw, "score", where)
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not 0 <= score <= 1:

@@ -8,6 +8,10 @@ Layout per tensor, channel-outermost [C][H][W]:
                            (dx, dy) from the object-center cell, in cells
     kp_heatmap       [294] per-keypoint heatmaps, values in [0, 1]
     kp_refine_offset [2]   fractional landmark position (dx, dy) in [0, 1)
+
+The sets that flip_tensors and fuse_tensors return hold the four regression
+tensors as lazy grids (`_LazyGrid`), which index like arrays and
+materialise on `np.asarray`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,46 @@ class TensorValidationError(ValueError):
     def __init__(self, issues: list[str]):
         super().__init__("; ".join(issues))
         self.issues = issues
+
+
+class _LazyGrid:
+    """A [C][H][W] grid whose values are computed only at the cells read.
+
+    `gather(c, r, x)` takes integer index arrays that broadcast together and
+    returns the values at those (channel, row, col) cells as a new array.
+    Indexing follows numpy's rules for a dense grid of this shape, and
+    `np.asarray` materialises the whole grid.
+    """
+
+    ndim = 3
+
+    def __init__(self, shape: tuple[int, int, int], dtype, gather):
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self.gather = gather
+        # Zero-copy views holding each cell's channel, row and column.
+        self._coords = [
+            np.broadcast_to(np.arange(size).reshape([-1 if a == axis else 1 for a in range(3)]), self.shape)
+            for axis, size in enumerate(self.shape)
+        ]
+
+    @property
+    def nbytes(self) -> int:
+        return self.dtype.itemsize * self.shape[0] * self.shape[1] * self.shape[2]
+
+    def __getitem__(self, key):
+        cells = []
+        for coords in self._coords:
+            picked = np.asarray(coords[key])
+            # A basic index keeps the zero strides of the broadcast views; those
+            # axes stay at length 1, so an index array is only as large as the
+            # read needs along its own axis.
+            cells.append(picked[tuple(slice(None, 1) if step == 0 else slice(None) for step in picked.strides)])
+        return np.asarray(self.gather(*cells))[()]
+
+    def __array__(self, dtype=None, copy=None):
+        grid = self[...]
+        return grid if dtype is None else grid.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -96,7 +140,7 @@ def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
     shapes = {}
     for name in TENSOR_NAMES:
         grid = getattr(tensors, name)
-        if not isinstance(grid, np.ndarray) or grid.ndim != 3:
+        if not isinstance(grid, (np.ndarray, _LazyGrid)) or grid.ndim != 3:
             issues.append(f"{name}: expected a 3-d [C][H][W] array")
             continue
         shapes[name] = grid.shape

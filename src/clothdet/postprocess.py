@@ -2,9 +2,14 @@
 
 Flip fusion works in tensor space: mirror the tensors computed on a
 horizontally flipped input back into the original orientation, then average
-with the plain tensors and decode once. Multiscale fusion works in detection
-space: decode each scale separately, map coordinates back to original
-pixels, then merge the lists under NMS. `infer` runs both, in that order.
+with the plain tensors and decode once. Only the heatmaps (center,
+kp_heatmap: 307 of 901 channels) are mirrored and averaged in full, since
+decode scans them. The four regression tensors come back as lazy grids that
+mirror and average both views' values only at the cells decode reads, with
+the same float arithmetic; `np.asarray` materialises them, for
+`write_tensors`. Multiscale fusion works in detection space: decode each
+scale separately, map coordinates back to original pixels, then merge the
+lists under NMS. `infer` runs both, in that order.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .categories import CategoryTable
+from .categories import TOTAL_KEYPOINTS, CategoryTable
 from .decode import DecodeConfig, decode_scene
-from .heads import HeadTensorSet, require_shapes
+from .heads import HeadTensorSet, _LazyGrid, require_shapes
 from .scene import Detection
 
 DEFAULT_SCALES = (1.0, 0.75)
+# Values per block of the heatmap average: 256 KB of float64.
+_BLOCK_VALUES = 32768
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,32 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
     return [det for i, det in enumerate(detections) if keep[i]]
 
 
+def _take(grid, c, r, x) -> np.ndarray:
+    """Values of a dense or lazy grid at the broadcast (channel, row, col) cells."""
+    return grid.gather(c, r, x) if isinstance(grid, _LazyGrid) else grid[c, r, x]
+
+
+def _mirrored(
+    grid, perm: np.ndarray, negate: np.ndarray | None = None, one_minus: np.ndarray | None = None
+) -> _LazyGrid:
+    """`grid` mirrored to column W-1-c, channel k read from channel perm[k].
+
+    Channels flagged in `negate` negate their values, those flagged in
+    `one_minus` map v -> 1-v, in the grid's own dtype.
+    """
+    last = grid.shape[2] - 1
+
+    def gather(c, r, x):
+        values = np.asarray(_take(grid, perm[c], r, last - x))
+        if negate is not None:
+            np.negative(values, out=values, where=negate[c])
+        if one_minus is not None:
+            np.subtract(1.0, values, out=values, where=one_minus[c])
+        return values
+
+    return _LazyGrid(grid.shape, grid.dtype, gather)
+
+
 def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     """Map a tensor set computed on a mirrored input back to original orientation.
 
@@ -80,36 +113,41 @@ def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     offsets (center_offset, kp_refine_offset) map dx -> 1-dx, center-relative
     keypoint x offsets negate, and flip-paired keypoint channels swap. The
     transformation is an involution.
+
+    The heatmaps (center, kp_heatmap) are flipped here, into new arrays. The
+    four regression tensors come back lazy: each value is read from the
+    input and transformed only at the cells that are indexed, and
+    `np.asarray` gives the whole flipped tensor.
     """
-    def mirror(grid: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(grid[:, :, ::-1])
-
-    center = mirror(tensors.center)
-    wh = mirror(tensors.wh)
-
-    center_offset = mirror(tensors.center_offset)
-    center_offset[0] = 1.0 - center_offset[0]
-
-    kp_refine_offset = mirror(tensors.kp_refine_offset)
-    kp_refine_offset[0] = 1.0 - kp_refine_offset[0]
-
-    kp_offset = mirror(tensors.kp_offset)
-    kp_offset[0::2] = -kp_offset[0::2]
-
-    kp_heatmap = mirror(tensors.kp_heatmap)
+    kp_perm = np.arange(TOTAL_KEYPOINTS)
     for a, b in table.flip_pairs:
-        kp_heatmap[[a, b]] = kp_heatmap[[b, a]]
-        kp_offset[[2 * a, 2 * a + 1, 2 * b, 2 * b + 1]] = kp_offset[[2 * b, 2 * b + 1, 2 * a, 2 * a + 1]]
+        kp_perm[[a, b]] = kp_perm[[b, a]]
+    offset_perm = np.stack([2 * kp_perm, 2 * kp_perm + 1], axis=1).reshape(-1)
+    same = np.arange(2)
+    x_only = np.array([True, False])
 
     return HeadTensorSet(
         stride=tensors.stride,
-        center=center,
-        wh=wh,
-        center_offset=center_offset,
-        kp_offset=kp_offset,
-        kp_heatmap=kp_heatmap,
-        kp_refine_offset=kp_refine_offset,
+        center=tensors.center[:, :, ::-1].copy(),
+        wh=_mirrored(tensors.wh, same),
+        center_offset=_mirrored(tensors.center_offset, same, one_minus=x_only),
+        kp_offset=_mirrored(tensors.kp_offset, offset_perm, negate=offset_perm % 2 == 0),
+        kp_heatmap=tensors.kp_heatmap[kp_perm, :, ::-1],
+        kp_refine_offset=_mirrored(tensors.kp_refine_offset, same, one_minus=x_only),
     )
+
+
+def _weighted_sum(terms, dtype) -> np.ndarray:
+    """Sum of values * share over the (values, share) terms in float64, cast to dtype."""
+    acc = None
+    for values, share in terms:
+        # Casts to float64, then multiplies: one pass instead of astype and *=.
+        term = np.multiply(values, share, dtype=np.float64)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc.astype(dtype)
 
 
 def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None = None) -> HeadTensorSet:
@@ -118,7 +156,13 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
     Weights default to equal, are normalized to sum 1, and must be
     non-negative and finite with a positive sum (zero-weight inputs are
     skipped entirely, so fuse with weights (2, 0) returns the first input
-    exactly).
+    exactly). Each value is the float64 weighted sum cast back to the first
+    input's dtype.
+
+    The heatmaps (center, kp_heatmap) are averaged here, into new arrays.
+    The four regression tensors come back lazy: each value is averaged from
+    the inputs only at the cells that are indexed, and `np.asarray` gives
+    the whole fused tensor. Inputs may themselves be lazy.
     """
     if not tensor_sets:
         raise ValueError("need at least one tensor set")
@@ -142,20 +186,26 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
             if grid.shape != shapes[name]:
                 raise ValueError(f"{name}: shape {grid.shape} does not match {shapes[name]}")
 
-    fused = {}
-    for name in shapes:
-        acc = None
-        for ts, w in zip(tensor_sets, weights):
-            if w == 0:
-                continue
-            term = getattr(ts, name).astype(np.float64)
-            term *= w / total
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-        fused[name] = acc.astype(getattr(first, name).dtype)
-    return HeadTensorSet(stride=first.stride, **fused)
+    live = [(ts, w / total) for ts, w in zip(tensor_sets, weights) if w != 0]
+
+    def fused(name: str):
+        grids = [(getattr(ts, name), share) for ts, share in live]
+        dtype = getattr(first, name).dtype
+        if name in ("center", "kp_heatmap"):
+            # A few channels at a time, so the float64 temporaries stay in cache.
+            channels, height, width = shapes[name]
+            out = np.empty(shapes[name], dtype)
+            step = max(1, _BLOCK_VALUES // max(1, height * width))
+            for lo in range(0, channels, step):
+                out[lo : lo + step] = _weighted_sum(((grid[lo : lo + step], share) for grid, share in grids), dtype)
+            return out
+
+        def gather(c, r, x):
+            return _weighted_sum(((_take(grid, c, r, x), share) for grid, share in grids), dtype)
+
+        return _LazyGrid(shapes[name], dtype, gather)
+
+    return HeadTensorSet(stride=first.stride, **{name: fused(name) for name in shapes})
 
 
 def rescale_detections(detections: list[Detection], scale: float) -> list[Detection]:
@@ -200,11 +250,11 @@ def infer(
     per_scale = []
     for scale, tensors, mirrored in views:
         if mirrored is not None:
-            # Shapes first: flipping and fusing touch every value a set declares.
+            # Shapes first: flipping and fusing read every heatmap value a set declares.
             require_shapes(tensors, table)
             require_shapes(mirrored, table)
-            # Rebinding drops the raw mirrored set before the float64 fusion,
-            # which is the peak of memory use.
+            # The fused regression tensors keep both views' arrays alive until
+            # decode has read them at its peak and candidate cells.
             mirrored = flip_tensors(mirrored, table)
             tensors = fuse_tensors([tensors, mirrored])
         per_scale.append(rescale_detections(decode_scene(tensors, table, config), scale))

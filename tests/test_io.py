@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import logging
 import struct
@@ -24,6 +27,8 @@ from clothdet import (
     write_scenes,
     write_tensors,
 )
+from clothdet import fileio
+from clothdet.cli import main
 from clothdet.heads import TENSOR_NAMES
 
 
@@ -285,6 +290,40 @@ class TestSparseContainer:
         with pytest.raises(FormatError, match="sparse entry 'center' declares 52 values, more than can be allocated"):
             read_tensors(path)
 
+    def test_declared_values_are_bounded(self, tmp_path):
+        # Six sparse entries with no nonzeros that declare 1000x1000 cells
+        # each: 242 bytes asking for 901M values, 3.6 GB of float32.
+        blob = sparse_container(height=1000, width=1000)
+        assert len(blob) == 242
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"container declares 901000000 values, more than the 268435456 allowed"):
+            read_tensors(path)
+
+    def test_declared_values_bound_is_inclusive(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(sparse_container(height=2, width=2))
+        monkeypatch.setattr(fileio, "MAX_VALUES", 901 * 4)
+        assert read_tensors(path).center.shape == (13, 2, 2)
+        path.write_bytes(sparse_container(height=2, width=3))
+        with pytest.raises(FormatError, match="container declares 5406 values, more than the 3604 allowed"):
+            read_tensors(path)
+
+    def test_dense_blocks_are_read_only_views_of_the_file(self, tmp_path, table):
+        path = tmp_path / "t.dmrk"
+        write_tensors(path, random_tensor_set(seed=11))
+        for grid in read_tensors(path).named().values():
+            assert not grid.flags.writeable
+            base = grid
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, bytes) and base == path.read_bytes()
+        # Sparse blocks are scattered into fresh arrays.
+        scene = synth_scenes(SynthParams(seed=2, num_images=1, image_width=96, image_height=96, max_box_size=64), table)[0]
+        write_tensors(path, encode_scene(scene, table))
+        for grid in read_tensors(path).named().values():
+            assert grid.flags.writeable and grid.base.flags.owndata
+
     def test_unknown_encoding(self, tmp_path):
         path = tmp_path / "t.dmrk"
         path.write_bytes(craft_container([("center", (1, 2, 2), 0, 7)], bytes(16), version=2))
@@ -408,8 +447,27 @@ class TestScenesJson:
         ]}]}
         path = tmp_path / "scenes.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="25 landmarks"):
+        with pytest.raises(FormatError, match=r"images\[0\]: item 0 of image 'a': category 1 needs 25 landmarks"):
             read_scenes(path, table)
+
+    @pytest.mark.parametrize("side", [10**400, 2**31, True, 64.0], ids=["huge", "2**31", "bool", "float"])
+    def test_side_must_be_a_plain_bounded_integer(self, tmp_path, table, side):
+        doc = {"images": [{"image_id": "a", "width": side, "height": 64, "items": []}]}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"images\[0\]: width/height must be integers in \[1, 2\*\*31\)"):
+            read_scenes(path, table)
+
+    @pytest.mark.parametrize("image_id", [None, True, 1.5, [None], {"k": None}], ids=["null", "bool", "float", "list", "object"])
+    def test_image_id_must_be_string_or_integer(self, tmp_path, table, image_id):
+        doc = {"images": [{"image_id": image_id, "width": 64, "height": 64, "items": []}]}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"images\[0\]\.image_id must be a string or an integer"):
+            read_scenes(path, table)
+        doc["images"][0]["image_id"] = 7
+        path.write_text(json.dumps(doc))
+        assert read_scenes(path, table)[0].image_id == "7"
 
     def test_non_numeric_bbox(self, tmp_path, table):
         doc = {"images": [{"image_id": "a", "width": 64, "height": 64, "items": [
@@ -480,6 +538,15 @@ class TestDetectionsJson:
         with pytest.raises(FormatError, match="multiple of 4"):
             read_detections(path)
 
+    @pytest.mark.parametrize("image_id", [None, False, [None]], ids=["null", "bool", "list"])
+    def test_image_id_must_be_string_or_integer(self, tmp_path, image_id):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps({"detections": [
+            {"image_id": image_id, "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]},
+        ]}))
+        with pytest.raises(FormatError, match=r"detections\[0\]\.image_id must be a string or an integer"):
+            read_detections(path)
+
     def test_landmarks_optional(self, tmp_path):
         doc = {"detections": [{"image_id": "a", "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}]}
         path = tmp_path / "dets.json"
@@ -521,3 +588,107 @@ class TestDetectionsJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=r"detections\[0\]\.category_id must be an integer"):
             read_detections(path)
+
+
+# Values a mutation puts in place of a node: every JSON type, nested nulls and
+# integers far beyond float range.
+SWAPS = [None, True, False, "", "x", 0, -1, 1.5, 10**400, -(10**400), [], {}, [None], {"k": None}, [[None]]]
+
+
+def json_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def mutated(doc, data):
+    """`doc` with 1-3 nodes dropped or replaced.
+
+    A node is picked by its shape first (its path with list indices as "*"),
+    so that a bbox value is as likely a target as the document root.
+    """
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        by_shape = {}
+        for path in json_paths(doc):
+            by_shape.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(path)
+        shape = data.draw(st.sampled_from(sorted(by_shape)), label="shape")
+        path = data.draw(st.sampled_from(by_shape[shape]), label="path")
+        swap = copy.deepcopy(data.draw(st.sampled_from(SWAPS), label="value"))
+        if not path:
+            return swap
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans(), label="drop"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = swap
+    return doc
+
+
+@pytest.fixture(scope="module")
+def json_docs(tmp_path_factory, table):
+    work = tmp_path_factory.mktemp("json_fuzz")
+    scenes = synth_scenes(SynthParams(seed=3, num_images=2, max_objects=2, image_width=96, image_height=96, max_box_size=64), table)
+    write_scenes(work / "scenes.json", scenes)
+    dets = {s.image_id: [Detection(i.category_id, 0.5, i.box, i.landmarks * (1, 1, 0.5)) for i in s.items] for s in scenes}
+    write_detections(work / "dets.json", dets)
+    return work, json.loads((work / "scenes.json").read_text()), json.loads((work / "dets.json").read_text())
+
+
+def eval_exit(work, scenes_path, dets_path):
+    """Exit code and stderr of `clothdet eval`; any uncaught exception fails the test.
+
+    A file that loads can still exit 2, for example when its detections
+    name an image the scenes do not hold.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--scenes", str(scenes_path), "--detections", str(dets_path)])
+    return code, err.getvalue()
+
+
+class TestJsonFuzz:
+    @pytest.mark.parametrize("text", [
+        b'{"images": [], "detections": [], "n": ' + b"9" * 5000 + b"}",
+        b'{"images": [], "detections": [], "name": "\xff"}',
+    ], ids=["5000-digit-int", "not-utf8"])
+    def test_unparsable_text_is_format_error(self, tmp_path, table, text):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match="annotation file is not valid JSON"):
+            read_scenes(path, table)
+        with pytest.raises(FormatError, match="detection file is not valid JSON"):
+            read_detections(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_mutated_scenes_load_or_format_error(self, json_docs, table, data):
+        work, scenes_doc, _ = json_docs
+        path = work / "mutated_scenes.json"
+        path.write_text(json.dumps(mutated(scenes_doc, data)))
+        try:
+            read_scenes(path, table)
+            loaded = True
+        except FormatError:
+            loaded = False
+        code, err = eval_exit(work, path, work / "dets.json")
+        assert code == 2 and err.startswith("error: ") if not loaded else code in (0, 2), err
+        assert "Traceback" not in err
+
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_mutated_detections_load_or_format_error(self, json_docs, data):
+        work, _, dets_doc = json_docs
+        path = work / "mutated_dets.json"
+        path.write_text(json.dumps(mutated(dets_doc, data)))
+        try:
+            read_detections(path)
+            loaded = True
+        except FormatError:
+            loaded = False
+        code, err = eval_exit(work, work / "scenes.json", path)
+        assert code == 2 and err.startswith("error: ") if not loaded else code in (0, 2), err
+        assert "Traceback" not in err

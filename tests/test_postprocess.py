@@ -12,6 +12,7 @@ from clothdet import (
     SynthParams,
     TensorValidationError,
     decode_scene,
+    dump_category_table,
     encode_scene,
     evaluate,
     flip_tensors,
@@ -23,7 +24,10 @@ from clothdet import (
     nms,
     rescale_detections,
     synth_scenes,
+    write_tensors,
 )
+from clothdet.cli import main
+from clothdet.decode import extract_peaks
 from clothdet.scene import mirror_scene, scale_scene
 
 
@@ -370,3 +374,118 @@ class TestInfer:
         assert len(merged) == len(scene.items)
         assert evaluate({scene.image_id: merged}, [scene], table).box.map == 1.0
         assert len(infer(views, table, self.CONFIG, None)) == 2 * len(scene.items)
+
+
+def eager_flip(tensors, table):
+    """Reference: the whole-tensor flip that flip_tensors must match bit for bit."""
+    # .copy(), not ascontiguousarray: a width-1 mirror is already contiguous,
+    # and the writes below would then land in the input.
+    named = {name: np.asarray(grid)[:, :, ::-1].copy() for name, grid in tensors.named().items()}
+    named["center_offset"][0] = 1.0 - named["center_offset"][0]
+    named["kp_refine_offset"][0] = 1.0 - named["kp_refine_offset"][0]
+    named["kp_offset"][0::2] = -named["kp_offset"][0::2]
+    for a, b in table.flip_pairs:
+        named["kp_heatmap"][[a, b]] = named["kp_heatmap"][[b, a]]
+        named["kp_offset"][[2 * a, 2 * a + 1, 2 * b, 2 * b + 1]] = named["kp_offset"][[2 * b, 2 * b + 1, 2 * a, 2 * a + 1]]
+    return HeadTensorSet(stride=tensors.stride, **named)
+
+
+def eager_fuse(tensor_sets, weights=None):
+    """Reference: the whole-tensor float64 average that fuse_tensors must match bit for bit."""
+    weights = [1.0] * len(tensor_sets) if weights is None else [float(w) for w in weights]
+    total = sum(weights)
+    fused = {}
+    for name in tensor_sets[0].named():
+        acc = None
+        for ts, w in zip(tensor_sets, weights):
+            if w == 0:
+                continue
+            term = np.asarray(getattr(ts, name)).astype(np.float64)
+            term *= w / total
+            acc = term if acc is None else acc + term
+        fused[name] = acc.astype(np.asarray(getattr(tensor_sets[0], name)).dtype)
+    return HeadTensorSet(stride=tensor_sets[0].stride, **fused)
+
+
+def property_tensors(rng, height, width, sparse):
+    """Random tensor set with heatmaps in [0, 1); sparse sets are mostly +0.0 and -0.0."""
+    tensors = new_head_tensors(height, width, 4)
+    for name, grid in tensors.named().items():
+        values = rng.random(grid.shape, dtype=np.float32)
+        if name not in ("center", "kp_heatmap"):
+            values = (4 * values - 2).astype(np.float32)
+        if sparse:
+            zeros = np.where(rng.random(grid.shape) < 0.3, np.float32(-0.0), np.float32(0.0))
+            values = np.where(rng.random(grid.shape) < 0.1, values, zeros)
+        grid[:] = values
+    return tensors
+
+
+def bits(grid):
+    return np.asarray(grid).view(np.uint32)
+
+
+def decode_outcome(tensors, table):
+    try:
+        return decode_scene(tensors, table)
+    except TensorValidationError as exc:
+        return str(exc)
+
+
+class TestLazyFusionIdentity:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 6),
+        width=st.integers(1, 7),
+        sparse=st.booleans(),
+        paired=st.booleans(),
+        twice=st.booleans(),
+        weights=st.sampled_from([None, (1.0, 3.0), (2.0, 0.0), (0.0, 1.0), (0.3, 0.7)]),
+        planted=st.sampled_from([("wh", 1), ("center_offset", 0), ("kp_offset", 0)]),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_eager_flip_and_fuse(
+        self, table, paired_table, tmp_path_factory, seed, height, width, sparse, paired, twice, weights, planted
+    ):
+        table = paired_table if paired else table
+        rng = np.random.default_rng(seed)
+        a, b = (property_tensors(rng, height, width, sparse) for _ in range(2))
+
+        flipped = flip_tensors(b, table)
+        want_flipped = eager_flip(b, table)
+        if twice:
+            flipped = flip_tensors(flip_tensors(flipped, table), table)
+            want_flipped = eager_flip(eager_flip(want_flipped, table), table)
+        fused = fuse_tensors([a, flipped], weights)
+        want = eager_fuse([a, want_flipped], weights)
+        for name in want.named():
+            np.testing.assert_array_equal(bits(flipped.named()[name]), bits(want_flipped.named()[name]), err_msg=name)
+            np.testing.assert_array_equal(bits(fused.named()[name]), bits(want.named()[name]), err_msg=name)
+        assert same_detections(decode_scene(fused, table), decode_scene(want, table))
+
+        # A NaN at the top peak's cell, in an input that carries weight.
+        peak = extract_peaks(want.center, 1, 0.0)[0]
+        row, col = peak.cell
+        name, channel = planted
+        if name == "kp_offset":
+            channel = 2 * table.spec(peak.channel + 1).global_offset
+        if weights is None or weights[0] > 0:
+            getattr(a, name)[channel, row, col] = np.nan
+        else:
+            getattr(b, name)[channel, row, width - 1 - col] = np.nan
+        message = decode_outcome(eager_fuse([a, eager_flip(b, table)], weights), table)
+        assert isinstance(message, str) and message.startswith(f"{name}: non-finite value")
+        assert decode_outcome(fuse_tensors([a, flip_tensors(b, table)], weights), table) == message
+
+        # clothdet fuse --unflip 1 writes the reference's bytes.
+        work = tmp_path_factory.mktemp("fuse")
+        (work / "table.json").write_text(dump_category_table(table), "utf-8")
+        write_tensors(work / "a.dmrk", a)
+        write_tensors(work / "b.dmrk", b)
+        write_tensors(work / "want.dmrk", eager_fuse([a, eager_flip(b, table)], weights))
+        argv = ["fuse", "--inputs", str(work / "a.dmrk"), str(work / "b.dmrk"), "--out", str(work / "got.dmrk"),
+                "--unflip", "1", "--categories", str(work / "table.json")]
+        if weights is not None:
+            argv += ["--weights", ",".join(map(str, weights))]
+        assert main(argv) == 0
+        assert (work / "got.dmrk").read_bytes() == (work / "want.dmrk").read_bytes()
