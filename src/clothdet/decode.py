@@ -5,6 +5,15 @@ regression from the center cell, per-keypoint candidate extraction from the
 keypoint heatmaps, and snapping each coarse keypoint to its nearest eligible
 refined candidate. The regression channels are read only at the cells these
 steps pick, and a non-finite value read there is rejected.
+
+Peak search checks only candidate cells. For the center heatmaps, with the
+default threshold of 0, those are the nonzero cells plus each channel's
+cell (0, 0): a zero cell is never strictly greater than a preceding
+neighbor, and (0, 0) is the only cell with none, so it is a peak only when
+its successors are zero too. For the keypoint heatmaps they are the cells
+at or above the threshold. Dense candidate sets take a full-grid
+comparison instead. Coarse keypoints and snapping run for all peaks in one
+vectorised pass.
 """
 
 from __future__ import annotations
@@ -55,19 +64,39 @@ def _peak_arrays(stack: np.ndarray, min_score: float) -> tuple[np.ndarray, np.nd
 
     A cell is a peak iff its value is >= every 8-neighbor and strictly
     greater than equal-valued neighbors preceding it row-major. Returns
-    unsorted (channel, row, col, score) arrays.
+    (channel, row, col, score) arrays in ascending (channel, row, col) order.
+
+    Only candidate cells are checked. With min_score <= 0 and no negative
+    or NaN value in the stack, every cell is above the threshold, but a zero
+    cell is never strictly greater than a preceding neighbor; only cell
+    (0, 0) of a channel has none, and it is a peak iff its successors are
+    zero too. So the candidates are the nonzero cells plus each channel's
+    cell (0, 0). Otherwise they are the cells with score >= min_score. Above
+    _DENSE_FRACTION of the stack one full-grid comparison checks them;
+    below it each candidate's neighbors are gathered by flat-index offsets.
     """
     channels, height, width = stack.shape
-    above = stack >= min_score
-    n_above = int(np.count_nonzero(above))
-    if n_above == 0:
+    data = stack.reshape(-1)
+    flat = above = None
+    if min_score <= 0 and stack.size:
+        candidate = stack != 0
+        candidate[:, 0, 0] = True
+        flat = np.flatnonzero(candidate)
+        # The rule needs a stack with no negative or NaN value. Such a value
+        # is nonzero, so it would be among the candidates.
+        if not (data[flat] >= 0).all():
+            flat = None
+    if flat is None:
+        above = stack >= min_score
+        flat = np.flatnonzero(above)
+    if flat.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy(), np.empty(0, dtype=stack.dtype)
 
-    if n_above > _DENSE_FRACTION * stack.size:
+    if flat.size > _DENSE_FRACTION * stack.size:
         padded = np.full((channels, height + 2, width + 2), -np.inf, dtype=stack.dtype)
         padded[:, 1:-1, 1:-1] = stack
-        keep = above
+        keep = stack >= min_score if above is None else above
         for dy, dx in _PRECEDING:
             keep &= stack > padded[:, 1 + dy : 1 + dy + height, 1 + dx : 1 + dx + width]
         for dy, dx in _SUCCEEDING:
@@ -75,18 +104,20 @@ def _peak_arrays(stack: np.ndarray, min_score: float) -> tuple[np.ndarray, np.nd
         chan, row, col = np.nonzero(keep)
         return chan, row, col, stack[chan, row, col]
 
-    flat = np.flatnonzero(above)
-    chan, row, col = np.unravel_index(flat, stack.shape)
-    value = stack.reshape(-1)[flat]
-    keep = np.ones(flat.shape, dtype=bool)
+    chan, cell = np.divmod(flat, height * width)
+    row, col = np.divmod(cell, width)
+    value = data[flat]
+    row_inside = {-1: row > 0, 0: np.True_, 1: row < height - 1}
+    col_inside = {-1: col > 0, 0: np.True_, 1: col < width - 1}
+    # A neighbor outside the grid counts as -inf, as in the dense path. It
+    # passes every comparison but the strict one of a -inf value; a -inf
+    # value fails that against every preceding neighbor, so it is no peak.
+    keep = value > -np.inf
     for strict, offsets in ((True, _PRECEDING), (False, _SUCCEEDING)):
         for dy, dx in offsets:
-            nrow = row + dy
-            ncol = col + dx
-            inside = (nrow >= 0) & (nrow < height) & (ncol >= 0) & (ncol < width)
-            neighbor = np.full(flat.shape, -np.inf, dtype=stack.dtype)
-            neighbor[inside] = stack[chan[inside], nrow[inside], ncol[inside]]
-            keep &= (value > neighbor) if strict else (value >= neighbor)
+            inside = row_inside[dy] & col_inside[dx]
+            neighbor = data[np.where(inside, flat + (dy * width + dx), flat)]
+            keep &= ((value > neighbor) if strict else (value >= neighbor)) | ~inside
     return chan[keep], row[keep], col[keep], value[keep]
 
 
@@ -97,7 +128,8 @@ def extract_peaks(heatmap_stack: np.ndarray, k: int | None, min_score: float) ->
     Pass k=None for no limit.
     """
     chan, row, col, score = _peak_arrays(np.asarray(heatmap_stack), min_score)
-    order = np.lexsort((col, row, chan, -score.astype(np.float64)))
+    # Stable, so equal scores keep the (channel, row, col) order of the peaks.
+    order = np.argsort(-score.astype(np.float64), kind="stable")
     if k is not None:
         order = order[:k]
     return [
@@ -122,32 +154,53 @@ class KeypointCandidates:
     starts: np.ndarray
 
 
-def _require_finite(values: np.ndarray, name: str, first_channel: int, rows, cols) -> None:
+def _require_finite(values: np.ndarray, name: str, channel, row, col) -> None:
     """Reject a non-finite value among those read from tensor `name`.
 
-    values holds channels first_channel.. (first axis) at the cells
-    (rows, cols) (second axis, or scalars for a single cell).
+    values[i] was read at channel[i], cell (row[i], col[i]), the index
+    arrays broadcast to values' shape. The first bad value in C order of
+    values is reported.
     """
-    if np.isfinite(values).all():
+    finite = np.isfinite(values)
+    if finite.all():
         return
-    c, i = np.argwhere(~np.isfinite(values.reshape(values.shape[0], -1)))[0]
-    row, col = np.atleast_1d(rows)[i], np.atleast_1d(cols)[i]
-    raise TensorValidationError([f"{name}: non-finite value at channel {first_channel + c}, cell ({row}, {col})"])
+    i = np.unravel_index(np.argmin(finite), values.shape)
+    c, r, x = (np.broadcast_to(index, values.shape)[i] for index in (channel, row, col))
+    raise TensorValidationError([f"{name}: non-finite value at channel {c}, cell ({r}, {x})"])
 
 
 def extract_keypoint_candidates(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> KeypointCandidates:
     """Peaks of every keypoint heatmap channel, refined by the offset channels."""
     chan, row, col, score = _peak_arrays(tensors.kp_heatmap, config.min_kp_candidate_score)
-    order = np.lexsort((col, row, chan))
-    chan, row, col, score = chan[order], row[order], col[order], score[order]
     refine = tensors.kp_refine_offset[:, row, col].astype(np.float64)
-    _require_finite(refine, "kp_refine_offset", 0, row, col)
+    _require_finite(refine, "kp_refine_offset", np.arange(2)[:, None], row, col)
     x = col + refine[0]
     y = row + refine[1]
     starts = np.searchsorted(chan, np.arange(TOTAL_KEYPOINTS + 1))
     return KeypointCandidates(
         channel=chan, x=x, y=y, confidence=score.astype(np.float64), starts=starts
     )
+
+
+def _coarse_keypoints(
+    tensors: HeadTensorSet, table: CategoryTable, chan: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse landmarks of the center peaks (chan, rows, cols), in one pass.
+
+    Returns (L, 2) cell coords, peak by peak and local keypoint by local
+    keypoint, plus the peak index and the global keypoint index of each.
+    """
+    offsets = np.array([spec.global_offset for spec in table.specs], dtype=np.int64)
+    counts = np.array([spec.keypoint_count for spec in table.specs], dtype=np.int64)
+    count = counts[chan]
+    owner = np.repeat(np.arange(chan.size), count)
+    first = np.cumsum(count) - count
+    keypoint = offsets[chan][owner] + np.arange(owner.size) - first[owner]
+    channel = 2 * keypoint[:, None] + np.arange(2)
+    row, col = rows[owner, None], cols[owner, None]
+    block = tensors.kp_offset[channel, row, col].astype(np.float64)
+    _require_finite(block, "kp_offset", channel, row, col)
+    return block + np.concatenate((col, row), axis=1), owner, keypoint
 
 
 def decode_coarse_keypoints(
@@ -158,69 +211,67 @@ def decode_coarse_keypoints(
     Local keypoint l with global index g reads kp_offset channels 2g, 2g+1
     at the center cell and adds them to the center cell position.
     """
-    spec = table.spec(category)
-    row, col = detection_center_cell
-    lo = 2 * spec.global_offset
-    block = tensors.kp_offset[lo : lo + 2 * spec.keypoint_count, row, col].astype(np.float64)
-    _require_finite(block, "kp_offset", lo, row, col)
-    coarse = block.reshape(spec.keypoint_count, 2)
-    return coarse + (col, row)
+    table.spec(category)  # raises for an unknown category
+    cell = [np.array([v], dtype=np.int64) for v in (category - 1, *detection_center_cell)]
+    return _coarse_keypoints(tensors, table, *cell)[0]
 
 
-def _snap_block(
+def _snap(
     coarse: np.ndarray,
-    local: np.ndarray,
-    cand_x: np.ndarray,
-    cand_y: np.ndarray,
-    cand_conf: np.ndarray,
+    owner: np.ndarray,
+    keypoint: np.ndarray,
+    cands: KeypointCandidates,
     box_cells: np.ndarray,
     margin: float,
 ) -> np.ndarray:
-    """Snap coarse keypoints to candidates given as flat per-local arrays.
+    """Snap every coarse keypoint to a candidate of its channel, in one pass.
 
-    Candidate rows must be grouped by local index with row-major peak order
-    inside each group (the order _peak_arrays + lexsort produces).
+    Row j of coarse belongs to peak owner[j] and global keypoint
+    keypoint[j]. A candidate is eligible when it lies in the peak's box
+    (box_cells), scaled by margin about its center. The nearest eligible
+    candidate wins, ties by higher confidence, then by row-major candidate
+    order. Returns (L, 3) rows (x, y, confidence) in cells; a keypoint with
+    no eligible candidate keeps its coarse position and confidence 0.
     """
-    count = coarse.shape[0]
-    out = np.empty((count, 3), dtype=np.float64)
+    out = np.zeros((coarse.shape[0], 3))
     out[:, :2] = coarse
-    out[:, 2] = 0.0
-    if local.size == 0:
-        return out
+    # One row per (keypoint, candidate of its channel) pair.
+    lo = cands.starts[keypoint]
+    count = cands.starts[keypoint + 1] - lo
+    pair_kp = np.repeat(np.arange(keypoint.size), count)
+    pair_cand = np.arange(pair_kp.size) + np.repeat(lo - (np.cumsum(count) - count), count)
 
-    cx = (box_cells[0] + box_cells[2]) / 2
-    cy = (box_cells[1] + box_cells[3]) / 2
-    half_w = (box_cells[2] - box_cells[0]) / 2 * margin
-    half_h = (box_cells[3] - box_cells[1]) / 2 * margin
-    eligible = (
-        (np.abs(cand_x - cx) <= half_w)
-        & (np.abs(cand_y - cy) <= half_h)
-    )
-
-    d2 = (cand_x - coarse[local, 0]) ** 2 + (cand_y - coarse[local, 1]) ** 2
-    d2 = np.where(eligible, d2, np.inf)
-    # Per local index: min distance, ties by higher confidence, then the
-    # stable row-major candidate order.
-    order = np.lexsort((-cand_conf, d2, local))
-    winners_local, first = np.unique(local[order], return_index=True)
-    pick = order[first]
-    ok = np.isfinite(d2[pick])
-    winners_local = winners_local[ok]
-    pick = pick[ok]
-    out[winners_local, 0] = cand_x[pick]
-    out[winners_local, 1] = cand_y[pick]
-    out[winners_local, 2] = cand_conf[pick]
+    cx = (box_cells[:, 0] + box_cells[:, 2]) / 2
+    cy = (box_cells[:, 1] + box_cells[:, 3]) / 2
+    half_w = (box_cells[:, 2] - box_cells[:, 0]) / 2 * margin
+    half_h = (box_cells[:, 3] - box_cells[:, 1]) / 2 * margin
+    peak = owner[pair_kp]
+    x, y = cands.x[pair_cand], cands.y[pair_cand]
+    eligible = np.flatnonzero((np.abs(x - cx[peak]) <= half_w[peak]) & (np.abs(y - cy[peak]) <= half_h[peak]))
+    pair_kp, x, y, conf = pair_kp[eligible], x[eligible], y[eligible], cands.confidence[pair_cand[eligible]]
+    d2 = (x - coarse[pair_kp, 0]) ** 2 + (y - coarse[pair_kp, 1]) ** 2
+    # Pairs are grouped by keypoint, in row-major candidate order inside a
+    # group, so the stable sort leaves that order as the last tie-break.
+    order = np.lexsort((-conf, d2, pair_kp))
+    pick = order[np.flatnonzero(np.diff(pair_kp[order], prepend=-1))]
+    pick = pick[np.isfinite(d2[pick])]
+    out[pair_kp[pick]] = np.column_stack((x[pick], y[pick], conf[pick]))
     return out
 
 
-def _boxes_from_peaks(tensors: HeadTensorSet, peaks: list[Peak]) -> np.ndarray:
-    """Box regression per peak: (n, 4) pixel boxes, computed in cells then scaled."""
-    rows = np.array([peak.cell[0] for peak in peaks], dtype=np.int64)
-    cols = np.array([peak.cell[1] for peak in peaks], dtype=np.int64)
+def _peak_cells(peaks: list[Peak]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(channel, row, col) int64 arrays of the peaks."""
+    cells = np.array([(peak.channel, *peak.cell) for peak in peaks], dtype=np.int64).reshape(-1, 3)
+    return cells[:, 0], cells[:, 1], cells[:, 2]
+
+
+def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Box regression at the peak cells: (n, 4) pixel boxes, computed in cells then scaled."""
     offset = tensors.center_offset[:, rows, cols].astype(np.float64)
     size = tensors.wh[:, rows, cols].astype(np.float64)
-    _require_finite(offset, "center_offset", 0, rows, cols)
-    _require_finite(size, "wh", 0, rows, cols)
+    channel = np.arange(2)[:, None]
+    _require_finite(offset, "center_offset", channel, rows, cols)
+    _require_finite(size, "wh", channel, rows, cols)
     cx = cols + offset[0]
     cy = rows + offset[1]
     half_w = np.maximum(size[0], 0.0) / 2
@@ -234,7 +285,8 @@ def _boxes_from_peaks(tensors: HeadTensorSet, peaks: list[Peak]) -> np.ndarray:
 def decode_detections(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> list[Detection]:
     """Box-only decoding: center peaks to scored category boxes in pixels."""
     peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
-    boxes = _boxes_from_peaks(tensors, peaks)
+    _, rows, cols = _peak_cells(peaks)
+    boxes = _boxes(tensors, rows, cols)
     return [
         Detection(
             category_id=peak.channel + 1,
@@ -262,28 +314,22 @@ def decode_scene(
     """
     require_valid(tensors, table)
     peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
-    boxes = _boxes_from_peaks(tensors, peaks)
+    chan, rows, cols = _peak_cells(peaks)
+    boxes = _boxes(tensors, rows, cols)
     cands = extract_keypoint_candidates(tensors, config)
+    if not peaks:
+        return []
     stride = tensors.stride
-
-    detections = []
-    for i, peak in enumerate(peaks):
-        category = peak.channel + 1
-        spec = table.spec(category)
-        coarse = decode_coarse_keypoints(tensors, table, peak.cell, category)
-        lo, hi = cands.starts[spec.global_offset], cands.starts[spec.global_offset + spec.keypoint_count]
-        snapped = _snap_block(
-            coarse,
-            cands.channel[lo:hi] - spec.global_offset,
-            cands.x[lo:hi],
-            cands.y[lo:hi],
-            cands.confidence[lo:hi],
-            boxes[i] / stride,
-            config.snap_box_margin,
+    coarse, owner, keypoint = _coarse_keypoints(tensors, table, chan, rows, cols)
+    landmarks = _snap(coarse, owner, keypoint, cands, boxes / stride, config.snap_box_margin)
+    landmarks[:, :2] *= stride
+    bounds = np.searchsorted(owner, np.arange(len(peaks) + 1))
+    return [
+        Detection(
+            category_id=peak.channel + 1,
+            score=peak.score,
+            box=boxes[i],
+            landmarks=landmarks[bounds[i] : bounds[i + 1]],
         )
-        landmarks = snapped.copy()
-        landmarks[:, :2] *= stride
-        detections.append(
-            Detection(category_id=category, score=peak.score, box=boxes[i], landmarks=landmarks)
-        )
-    return detections
+        for i, peak in enumerate(peaks)
+    ]

@@ -19,8 +19,10 @@ channel-outermost, in one of two encodings:
                  is +0.0
 `write_tensors` stores a tensor sparse when that takes fewer bytes and the
 tensor has fewer than 2**32 values, so peaky encoder output is a few
-kilobytes while dense network output keeps dense blocks. All six tensors
-share center's height and width.
+kilobytes while dense network output keeps dense blocks. It starts every
+block at a file offset that is a multiple of 8, with zero bytes between
+blocks; the reader accepts any gap between blocks, so files without the
+padding still read. All six tensors share center's height and width.
 
 Annotation JSON: {"images": [{"image_id", "width", "height",
 "items": [{"category_id", "bbox": [x1,y1,x2,y2], "landmarks": [x,y,v,...]}]}]}.
@@ -52,6 +54,8 @@ DENSE, SPARSE = 0, 1
 # at stride 4. A sparse block's size does not bound its shape, so without a
 # limit a few hundred bytes could ask for gigabytes.
 MAX_VALUES = 2**28
+# File offset multiple at which write_tensors starts each block.
+BLOCK_ALIGN = 8
 
 
 class FormatError(ValueError):
@@ -71,20 +75,29 @@ def _block(grid: np.ndarray) -> tuple[int, list]:
 
 
 def write_tensors(path, tensors: HeadTensorSet) -> None:
-    """Serialize a head tensor set to a DMRK container file."""
+    """Serialize a head tensor set to a DMRK container file.
+
+    Zero bytes pad the payload so that every block starts at a file offset
+    that is a multiple of BLOCK_ALIGN, which keeps the dense views that
+    read_tensors returns aligned.
+    """
     # Lazy grids from flip_tensors and fuse_tensors materialise here.
     named = {name: np.asarray(grid) for name, grid in tensors.named().items()}
+    names = [name.encode("utf-8") for name in TENSOR_NAMES]
+    # Magic, version, stride, entry count, the entries and the payload size.
+    payload_start = 16 + sum(2 + len(encoded) + 21 for encoded in names) + 8
     header = bytearray(MAGIC)
     header += struct.pack("<III", FORMAT_VERSION, tensors.stride, len(TENSOR_NAMES))
     blocks = []
     offset = 0
-    for name in TENSOR_NAMES:
+    for name, encoded in zip(TENSOR_NAMES, names):
         channels, height, width = named[name].shape
         encoding, parts = _block(named[name])
-        encoded = name.encode("utf-8")
+        pad = -(payload_start + offset) % BLOCK_ALIGN
+        offset += pad
         header += struct.pack("<H", len(encoded)) + encoded
         header += struct.pack("<IIIBQ", channels, height, width, encoding, offset)
-        blocks += parts
+        blocks += [bytes(pad), *parts]
         offset += sum(part.nbytes for part in parts)
     header += struct.pack("<Q", offset)
     with open(path, "wb") as f:

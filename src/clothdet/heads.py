@@ -38,16 +38,18 @@ class _LazyGrid:
 
     `gather(c, r, x)` takes integer index arrays that broadcast together and
     returns the values at those (channel, row, col) cells as a new array.
-    Indexing follows numpy's rules for a dense grid of this shape, and
-    `np.asarray` materialises the whole grid.
+    Indexing follows numpy's rules for a dense grid of this shape.
+    `whole()` returns the whole grid as a new array, with the same values
+    that gathering every cell would give; `np.asarray` calls it.
     """
 
     ndim = 3
 
-    def __init__(self, shape: tuple[int, int, int], dtype, gather):
+    def __init__(self, shape: tuple[int, int, int], dtype, gather, whole):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         self.gather = gather
+        self.whole = whole
         # Zero-copy views holding each cell's channel, row and column.
         self._coords = [
             np.broadcast_to(np.arange(size).reshape([-1 if a == axis else 1 for a in range(3)]), self.shape)
@@ -69,7 +71,7 @@ class _LazyGrid:
         return np.asarray(self.gather(*cells))[()]
 
     def __array__(self, dtype=None, copy=None):
-        grid = self[...]
+        grid = self.whole()
         return grid if dtype is None else grid.astype(dtype, copy=False)
 
 
@@ -157,20 +159,30 @@ def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
     return issues
 
 
+# The bits of float32 1.0; no other float32 in [+0.0, 1] has larger bits.
+_ONE_BITS = 0x3F800000
+
+
 def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
     """Check channel counts, consistent spatial dims, and heatmap values.
 
     Heatmap values must be finite and lie in [0, 1], since decode reports
     them as scores.
 
+    A float32 heatmap is checked with one max() over its bits read as
+    uint32: +0.0 is 0 and 1.0 is 0x3F800000, every value in (0, 1] lies
+    between, and -0.0, negative values, infinities and NaN all lie above.
+    A larger maximum, or another dtype, falls back to a min()/max() scan,
+    which accepts -0.0 and locates the first bad cell for the message.
+
     Returns a result listing every issue found (empty issue list means valid).
     """
     issues = _shape_issues(tensors, table)
-    # Finiteness and range of the heatmaps. min/max scan first; locating the
-    # bad cell is only paid on the failure path.
     for name in ("center", "kp_heatmap"):
         grid = getattr(tensors, name)
         if isinstance(grid, np.ndarray) and grid.ndim == 3 and grid.size:
+            if grid.dtype == np.float32 and grid.view(np.uint32).max() <= _ONE_BITS:
+                continue
             lo, hi = grid.min(), grid.max()
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 c, r, col = _first_cell(~np.isfinite(grid))

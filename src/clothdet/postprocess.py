@@ -95,15 +95,20 @@ def _mirrored(
     """
     last = grid.shape[2] - 1
 
-    def gather(c, r, x):
-        values = np.asarray(_take(grid, perm[c], r, last - x))
+    def transform(values, c):
         if negate is not None:
             np.negative(values, out=values, where=negate[c])
         if one_minus is not None:
             np.subtract(1.0, values, out=values, where=one_minus[c])
         return values
 
-    return _LazyGrid(grid.shape, grid.dtype, gather)
+    def gather(c, r, x):
+        return transform(np.asarray(_take(grid, perm[c], r, last - x)), c)
+
+    def whole():
+        return transform(np.asarray(grid)[perm, :, ::-1], np.arange(len(perm))[:, None, None])
+
+    return _LazyGrid(grid.shape, grid.dtype, gather, whole)
 
 
 def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
@@ -150,6 +155,19 @@ def _weighted_sum(terms, dtype) -> np.ndarray:
     return acc.astype(dtype)
 
 
+def _blockwise_sum(terms, dtype) -> np.ndarray:
+    """_weighted_sum of whole (values, share) grids, a few channels at a time.
+
+    Blocks keep the float64 temporaries in cache.
+    """
+    channels, height, width = terms[0][0].shape
+    out = np.empty((channels, height, width), dtype)
+    step = max(1, _BLOCK_VALUES // max(1, height * width))
+    for lo in range(0, channels, step):
+        out[lo : lo + step] = _weighted_sum(((grid[lo : lo + step], share) for grid, share in terms), dtype)
+    return out
+
+
 def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None = None) -> HeadTensorSet:
     """Per-element weighted average of aligned tensor sets.
 
@@ -192,18 +210,15 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
         grids = [(getattr(ts, name), share) for ts, share in live]
         dtype = getattr(first, name).dtype
         if name in ("center", "kp_heatmap"):
-            # A few channels at a time, so the float64 temporaries stay in cache.
-            channels, height, width = shapes[name]
-            out = np.empty(shapes[name], dtype)
-            step = max(1, _BLOCK_VALUES // max(1, height * width))
-            for lo in range(0, channels, step):
-                out[lo : lo + step] = _weighted_sum(((grid[lo : lo + step], share) for grid, share in grids), dtype)
-            return out
+            return _blockwise_sum(grids, dtype)
 
         def gather(c, r, x):
             return _weighted_sum(((_take(grid, c, r, x), share) for grid, share in grids), dtype)
 
-        return _LazyGrid(shapes[name], dtype, gather)
+        def whole():
+            return _blockwise_sum([(np.asarray(grid), share) for grid, share in grids], dtype)
+
+        return _LazyGrid(shapes[name], dtype, gather, whole)
 
     return HeadTensorSet(stride=first.stride, **{name: fused(name) for name in shapes})
 

@@ -1,12 +1,16 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clothdet.decode
 from clothdet import (
     DecodeConfig,
     HeadTensorSet,
+    Peak,
     SynthParams,
     TensorValidationError,
     decode_coarse_keypoints,
@@ -350,3 +354,136 @@ def test_decode_equivariance_under_cell_translation(table):
 def test_decode_scene_rejects_invalid_tensors(table):
     with pytest.raises(ValueError, match="expected 13 channels"):
         decode_scene(new_head_tensors(8, 8, 4, num_categories=12), table)
+
+
+def reference_peak_arrays(stack, min_score):
+    """Reference: the full-grid peak test of the earlier decoder, which its sparse path matched."""
+    channels, height, width = stack.shape
+    padded = np.full((channels, height + 2, width + 2), -np.inf, dtype=stack.dtype)
+    padded[:, 1:-1, 1:-1] = stack
+    keep = stack >= min_score
+    for dy, dx in clothdet.decode._PRECEDING:
+        keep &= stack > padded[:, 1 + dy : 1 + dy + height, 1 + dx : 1 + dx + width]
+    for dy, dx in clothdet.decode._SUCCEEDING:
+        keep &= stack >= padded[:, 1 + dy : 1 + dy + height, 1 + dx : 1 + dx + width]
+    chan, row, col = np.nonzero(keep)
+    return chan, row, col, stack[chan, row, col]
+
+
+def reference_extract_peaks(stack, k, min_score):
+    chan, row, col, score = reference_peak_arrays(stack, min_score)
+    order = np.lexsort((col, row, chan, -score.astype(np.float64)))[:k]
+    return [Peak(channel=int(chan[i]), cell=(int(row[i]), int(col[i])), score=float(score[i])) for i in order]
+
+
+PEAK_VALUES = st.sampled_from([0.5, 0.25, 1.0, 0.1, -0.0, np.nan, -0.5, -np.inf, np.inf, 5e-324, 1e-45, 1e-40]) | st.floats(
+    0, 1, width=32
+)
+
+
+@st.composite
+def peak_stacks(draw):
+    """Small, mostly zero stacks with plateaus, signed zeros, NaN, negatives and subnormals."""
+    channels, height, width = draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    stack = np.zeros((channels, height, width), dtype=draw(st.sampled_from([np.float32, np.float64])))
+    if stack.size == 0:
+        return stack
+    cell = st.tuples(st.integers(0, channels - 1), st.integers(0, height - 1), st.integers(0, width - 1))
+    # Equal-valued rectangles: at (0, 0), on an edge or inside the grid.
+    for (c, r0, c0), (_, r1, c1), value in draw(st.lists(st.tuples(cell, cell, PEAK_VALUES), max_size=3)):
+        stack[c, min(r0, r1) : max(r0, r1) + 1, min(c0, c1) : max(c0, c1) + 1] = value
+    for (c, r, x), value in draw(st.lists(st.tuples(cell, PEAK_VALUES), max_size=8)):
+        stack[c, r, x] = value
+    if draw(st.booleans()):
+        # One random dense channel, so that both paths are taken.
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        stack[draw(st.integers(0, channels - 1))] = rng.random((height, width)).round(1)
+    return stack
+
+
+def assert_same_peak_arrays(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(a, b)
+    assert got[3].dtype == want[3].dtype
+    np.testing.assert_array_equal(got[3].view(np.uint8), want[3].view(np.uint8))
+
+
+@given(stack=peak_stacks(), min_score=st.sampled_from([0.0, -0.0, -0.25, -np.inf, 0.1, 0.25, 0.5, 1e-45]), k=st.integers(1, 4))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_peaks_match_full_grid_reference(stack, min_score, k):
+    want = reference_peak_arrays(stack, min_score)
+    # The automatic path switch, then each path forced.
+    for fraction in (clothdet.decode._DENSE_FRACTION, 1.1, 0.0):
+        with mock.patch.object(clothdet.decode, "_DENSE_FRACTION", fraction):
+            assert_same_peak_arrays(clothdet.decode._peak_arrays(stack, min_score), want)
+            assert extract_peaks(stack, None, min_score) == reference_extract_peaks(stack, None, min_score)
+            assert extract_peaks(stack, k, min_score) == reference_extract_peaks(stack, k, min_score)
+
+
+def test_zero_channel_peaks_only_at_origin():
+    stack = np.zeros((3, 4, 5), dtype=np.float32)
+    stack[1, 0, 1] = 0.5  # a nonzero successor of (0, 0)
+    stack[2, 2, 3] = 0.5
+    peaks = [(p.channel, p.cell, p.score) for p in extract_peaks(stack, None, 0.0)]
+    assert sorted(peaks) == [(0, (0, 0), 0.0), (1, (0, 1), 0.5), (2, (0, 0), 0.0), (2, (2, 3), 0.5)]
+
+
+@pytest.mark.parametrize("fraction", [1.1, 0.0], ids=["sparse", "dense"])
+def test_minus_inf_is_never_a_peak(monkeypatch, fraction):
+    monkeypatch.setattr(clothdet.decode, "_DENSE_FRACTION", fraction)
+    stack = np.full((2, 1, 1), -np.inf)
+    stack[1, 0, 0] = 0.5
+    assert [p.channel for p in extract_peaks(stack, None, -np.inf)] == [1]
+
+
+def reference_snap(coarse, local, cand_x, cand_y, cand_conf, box_cells, margin):
+    """Reference: the per-detection snapping of the earlier decoder."""
+    out = np.zeros((coarse.shape[0], 3))
+    out[:, :2] = coarse
+    if local.size == 0:
+        return out
+    cx, cy = (box_cells[0] + box_cells[2]) / 2, (box_cells[1] + box_cells[3]) / 2
+    half_w, half_h = (box_cells[2] - box_cells[0]) / 2 * margin, (box_cells[3] - box_cells[1]) / 2 * margin
+    eligible = (np.abs(cand_x - cx) <= half_w) & (np.abs(cand_y - cy) <= half_h)
+    d2 = np.where(eligible, (cand_x - coarse[local, 0]) ** 2 + (cand_y - coarse[local, 1]) ** 2, np.inf)
+    order = np.lexsort((-cand_conf, d2, local))
+    winners, first = np.unique(local[order], return_index=True)
+    pick = order[first]
+    ok = np.isfinite(d2[pick])
+    out[winners[ok]] = np.column_stack((cand_x[pick[ok]], cand_y[pick[ok]], cand_conf[pick[ok]]))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), margin=st.sampled_from([1.0, 1.5]))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_batched_snapping_matches_per_detection_reference(table, seed, size, margin):
+    # Few distinct values, so distance and confidence ties are common.
+    rng = np.random.default_rng(seed)
+    tensors = new_head_tensors(size, size, 4)
+    for name, grid in tensors.named().items():
+        if name == "center":
+            values = rng.choice([0.0, 0.4, 0.9], grid.shape, p=[0.98, 0.01, 0.01])
+        elif name == "kp_heatmap":
+            values = rng.choice([0.0, 0.2, 0.6], grid.shape, p=[0.8, 0.1, 0.1])
+        elif name == "wh":
+            values = rng.integers(0, 2 * size, grid.shape)
+        else:
+            values = rng.choice([-1.0, 0.0, 0.5, 1.0], grid.shape)
+        grid[:] = values
+    config = DecodeConfig(snap_box_margin=margin)
+    cands = extract_keypoint_candidates(tensors, config)
+    dets = decode_scene(tensors, table, config)
+    for det, peak in zip(dets, extract_peaks(tensors.center, config.top_k, config.min_center_score)):
+        spec = table.spec(det.category_id)
+        lo, hi = cands.starts[spec.global_offset], cands.starts[spec.global_offset + spec.keypoint_count]
+        want = reference_snap(
+            decode_coarse_keypoints(tensors, table, peak.cell, det.category_id),
+            cands.channel[lo:hi] - spec.global_offset,
+            cands.x[lo:hi],
+            cands.y[lo:hi],
+            cands.confidence[lo:hi],
+            det.box / tensors.stride,
+            margin,
+        )
+        want[:, :2] *= tensors.stride
+        np.testing.assert_array_equal(det.landmarks.view(np.uint64), want.view(np.uint64))

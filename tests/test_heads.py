@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clothdet import (
     HeadTensorSet,
@@ -115,3 +117,43 @@ def test_require_valid_raises_with_issues(table):
 
 def test_require_valid_passes_on_good_set(table):
     require_valid(new_head_tensors(8, 8, 4), table)
+
+
+def reference_heatmap_issues(tensors):
+    """Reference: the min/max heatmap check of the earlier validator, run on every set."""
+    issues = []
+    for name in ("center", "kp_heatmap"):
+        grid = getattr(tensors, name)
+        lo, hi = grid.min(), grid.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            c, r, col = np.unravel_index(np.flatnonzero(~np.isfinite(grid))[0], grid.shape)
+            issues.append(f"{name}: non-finite value at channel {c}, cell ({r}, {col})")
+        elif lo < 0 or hi > 1:
+            c, r, col = np.unravel_index(np.flatnonzero((grid < 0) | (grid > 1))[0], grid.shape)
+            issues.append(f"{name}: value {grid[c, r, col]:g} outside [0, 1] at channel {c}, cell ({r}, {col})")
+    return tuple(issues)
+
+
+HEATMAP_VALUES = [np.nan, np.inf, -np.inf, -0.0, -0.5, -1e-45, 1.0, 1.0000001, 0.5, 1e-45, 5e-324]
+
+
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    planted=st.lists(
+        st.tuples(
+            st.sampled_from(["center", "kp_heatmap"]),
+            st.integers(0, 12),
+            st.integers(0, 3),
+            st.integers(0, 4),
+            st.sampled_from(HEATMAP_VALUES),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_heatmap_issues_match_min_max_reference(table, dtype, planted):
+    base = new_head_tensors(4, 5, 4)
+    tensors = HeadTensorSet(stride=4, **{name: grid.astype(dtype) for name, grid in base.named().items()})
+    for name, channel, row, col, value in planted:
+        getattr(tensors, name)[channel, row, col] = value
+    assert validate_head_tensors(tensors, table).issues == reference_heatmap_issues(tensors)

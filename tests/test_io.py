@@ -56,12 +56,25 @@ def craft_container(entries, payload, version=1, stride=4, magic=b"DMRK"):
     return bytes(blob)
 
 
-def dense_v1_container(tensors):
+def dense_container(tensors, version=1):
+    """Dense blocks back to back, with no padding between them."""
     entries, payload = [], bytearray()
     for name, grid in tensors.named().items():
         entries.append((name, grid.shape, len(payload)))
         payload += grid.astype("<f4").tobytes()
-    return craft_container(entries, bytes(payload), version=1, stride=tensors.stride)
+    return craft_container(entries, bytes(payload), version=version, stride=tensors.stride)
+
+
+# The directory of the six standard tensors takes 218 bytes.
+HEADER_BYTES = 218
+
+
+def padded_payload_size(extents):
+    """Payload size when blocks of these byte extents each start at a file offset that is a multiple of 8."""
+    end = HEADER_BYTES
+    for extent in extents:
+        end += -end % 8 + extent
+    return end - HEADER_BYTES
 
 
 def sparse_block(indices):
@@ -144,7 +157,7 @@ class TestContainer:
         tensors = random_tensor_set(seed=5, height=8, width=8)
         path = tmp_path / "t.dmrk"
         write_tensors(path, tensors)
-        expected = sum(grid.nbytes for grid in tensors.named().values())
+        expected = padded_payload_size(grid.nbytes for grid in tensors.named().values())
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match=f"truncated payload: expected {expected} bytes, got {expected - 10}"):
             read_tensors(path)
@@ -212,7 +225,7 @@ class TestSparseContainer:
         write_tensors(path, tensors)
         entries, payload_size = directory(path.read_bytes())
         assert entries == [(name, 0) for name in TENSOR_NAMES]
-        assert payload_size == sum(grid.nbytes for grid in tensors.named().values())
+        assert payload_size == padded_payload_size(grid.nbytes for grid in tensors.named().values())
 
     def test_encoder_view_writes_sparse_blocks(self, tmp_path, table):
         scene = synth_scenes(SynthParams(seed=2, num_images=1, image_width=160, image_height=128, max_box_size=96), table)[0]
@@ -221,8 +234,8 @@ class TestSparseContainer:
         write_tensors(path, tensors)
         entries, payload_size = directory(path.read_bytes())
         assert [encoding for _, encoding in entries] == [1] * len(TENSOR_NAMES)
-        nonzeros = sum(int(np.count_nonzero(grid)) for grid in tensors.named().values())
-        assert payload_size == 4 * len(TENSOR_NAMES) + 8 * nonzeros
+        extents = [4 + 8 * int(np.count_nonzero(grid)) for grid in tensors.named().values()]
+        assert payload_size == padded_payload_size(extents)
         assert_bits_equal(read_tensors(path), tensors)
 
     def test_v1_container_reads_like_its_v2_rewrite(self, tmp_path):
@@ -230,7 +243,7 @@ class TestSparseContainer:
         tensors.kp_heatmap[:] = 0
         tensors.kp_heatmap[5, 1, 2] = 0.25
         v1, v2 = tmp_path / "v1.dmrk", tmp_path / "v2.dmrk"
-        v1.write_bytes(dense_v1_container(tensors))
+        v1.write_bytes(dense_container(tensors))
         old = read_tensors(v1)
         write_tensors(v2, old)
         entries, _ = directory(v2.read_bytes())
@@ -323,6 +336,27 @@ class TestSparseContainer:
         write_tensors(path, encode_scene(scene, table))
         for grid in read_tensors(path).named().values():
             assert grid.flags.writeable and grid.base.flags.owndata
+
+    def test_dense_views_are_aligned(self, tmp_path):
+        tensors = random_tensor_set(seed=12, height=5, width=3)
+        path = tmp_path / "t.dmrk"
+        write_tensors(path, tensors)
+        loaded = read_tensors(path)
+        assert all(grid.flags.aligned for grid in loaded.named().values())
+        assert_bits_equal(loaded, tensors)
+
+    def test_unpadded_v2_container_reads_bit_identically(self, tmp_path):
+        # Blocks back to back after the 218-byte directory, as version 2
+        # files were written before the padding: every block starts at an
+        # offset that is 2 mod 4.
+        tensors = random_tensor_set(seed=13, height=5, width=3)
+        tensors.center[0, 1, 1] = -0.0
+        tensors.wh[1, 2, 2] = np.array(0x7FC0BEEF, dtype=np.uint32).view(np.float32)
+        path = tmp_path / "t.dmrk"
+        path.write_bytes(dense_container(tensors, version=2))
+        loaded = read_tensors(path)
+        assert not any(grid.flags.aligned for grid in loaded.named().values())
+        assert_bits_equal(loaded, tensors)
 
     def test_unknown_encoding(self, tmp_path):
         path = tmp_path / "t.dmrk"
