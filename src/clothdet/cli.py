@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,12 +73,21 @@ def _view_name(image_id: str, scale: float, flipped: bool) -> str:
 
 
 def _parse_scales(text: str) -> tuple[float, ...]:
+    """The scales of a --scales comma list: positive, finite, and each naming its own view files."""
     try:
         scales = tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
         raise ValueError(f"--scales must be a comma list of numbers, got {text!r}")
-    if not scales or any(s <= 0 for s in scales):
-        raise ValueError(f"--scales must be positive, got {text!r}")
+    if not scales:
+        raise ValueError(f"--scales must list at least one scale, got {text!r}")
+    names = set()
+    for scale in scales:
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"--scales must be positive and finite, got {scale:g} in {text!r}")
+        name = _view_name("", scale, False)
+        if name in names:
+            raise ValueError(f"--scales lists scale {scale:g} twice, in {text!r}")
+        names.add(name)
     return scales
 
 
@@ -115,6 +125,10 @@ def _cmd_encode(args) -> int:
     for scene in scenes:
         for scale in scales:
             view = scene if scale == 1.0 else scale_scene(scene, scale)
+            if not (view.width and view.height):
+                raise ValueError(
+                    f"--scales value {scale:g} leaves image {scene.image_id!r} ({scene.width}x{scene.height}) with no pixels"
+                )
             for flipped in (False, True) if args.flip else (False,):
                 final = mirror_scene(view, table) if flipped else view
                 write_tensors(out_dir / _view_name(scene.image_id, scale, flipped), encode_scene(final, table, params))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import CategoryTable
-from .heads import HeadTensorSet, new_head_tensors
+from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _channel_counts, _SparseTensorSet
 from .scene import Scene, validate_scene
 
 logger = logging.getLogger(__name__)
@@ -76,6 +76,41 @@ def gaussian_radius(box_w_cells: float, box_h_cells: float, min_overlap: float) 
     return max(0.0, min(r1, r2, r3))
 
 
+def _stamps(
+    rows: np.ndarray, cols: np.ndarray, radius: float, height: int, width: int, peak: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of Gaussian kernels of one radius centered at (rows[i], cols[i]).
+
+    Each kernel is peak * exp(-(dx^2 + dy^2) / (2 sigma^2)) with
+    sigma = max(radius, 1) / 3, on a window of half-extent int(radius)
+    around its center; cells outside the height x width grid are dropped.
+
+    Returns:
+        (stamp, row, col, value) per kept cell: the stamp's index into
+        rows, the cell, and the float64 kernel value there.
+    """
+    outside = (rows < 0) | (rows >= height) | (cols < 0) | (cols >= width)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"center cell ({rows[i]}, {cols[i]}) outside {height} x {width} grid")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+    extent = int(radius)
+    sigma = max(radius, 1.0) / 3.0
+    ys = np.arange(-extent, extent + 1, dtype=np.float64)
+    kernel = peak * np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / (2 * sigma * sigma))
+
+    steps = np.arange(-extent, extent + 1)
+    window_rows = rows[:, None] + steps
+    window_cols = cols[:, None] + steps
+    inside = ((window_rows >= 0) & (window_rows < height))[:, :, None] & (
+        (window_cols >= 0) & (window_cols < width)
+    )[:, None, :]
+    stamp, i, j = np.nonzero(inside)
+    return stamp, window_rows[stamp, i], window_cols[stamp, j], kernel[i, j]
+
+
 def render_gaussian(grid: np.ndarray, center_cell: tuple[int, int], radius: float, peak: float = 1.0) -> None:
     """Max-compose a Gaussian kernel into a 2-d grid, in place.
 
@@ -91,31 +126,46 @@ def render_gaussian(grid: np.ndarray, center_cell: tuple[int, int], radius: floa
         peak: kernel height at the center, default 1.0.
     """
     row, col = center_cell
-    height, width = grid.shape
-    if not (0 <= row < height and 0 <= col < width):
-        raise ValueError(f"center cell {center_cell} outside {height} x {width} grid")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    _, rows, cols, values = _stamps(np.array([row]), np.array([col]), radius, *grid.shape, peak)
+    grid[rows, cols] = np.maximum(grid[rows, cols], values.astype(grid.dtype))
 
-    extent = int(radius)
-    sigma = max(radius, 1.0) / 3.0
-    ys = np.arange(-extent, extent + 1, dtype=np.float64)
-    kernel = peak * np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / (2 * sigma * sigma))
 
-    top = max(0, row - extent)
-    bottom = min(height, row + extent + 1)
-    left = max(0, col - extent)
-    right = min(width, col + extent + 1)
-    window = grid[top:bottom, left:right]
-    clipped = kernel[
-        top - (row - extent) : kernel.shape[0] - ((row + extent + 1) - bottom),
-        left - (col - extent) : kernel.shape[1] - ((col + extent + 1) - right),
-    ]
-    np.maximum(window, clipped.astype(grid.dtype), out=window)
+def _max_composed(indices: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending unique flat indices and the largest float32 value written to each."""
+    flat = np.concatenate(indices)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    return flat[starts], np.maximum.reduceat(np.concatenate(values)[order], starts)
+
+
+def _last_written(indices: list[np.ndarray], values: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending unique flat indices and, for each, the last value written there, as float32."""
+    flat = np.concatenate(indices)[::-1]
+    unique, last = np.unique(flat, return_index=True)
+    return unique, np.concatenate(values)[::-1][last].astype(np.float32)
+
+
+def _refine_offsets(
+    image_id: str, plane: int, cells: list[np.ndarray], offsets: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """kp_refine_offset entries: at each landmark cell, the (dx, dy) of the first landmark there.
+
+    A later landmark whose float32 offsets differ from the kept ones is
+    counted and logged.
+    """
+    cells = np.concatenate(cells)
+    dxy = np.concatenate(offsets).reshape(-1, 2).astype(np.float32)
+    unique, first, owner = np.unique(cells, return_index=True, return_inverse=True)
+    kept = first[owner]
+    conflicts = int(np.count_nonzero((dxy != dxy[kept]).any(axis=1)))
+    if conflicts:
+        logger.warning("image %s: %d landmark cells hold offsets of an earlier peak", image_id, conflicts)
+    return np.concatenate((unique, plane + unique)), np.concatenate((dxy[first, 0], dxy[first, 1]))
 
 
 def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = EncodeParams()) -> HeadTensorSet:
-    """Render a scene into a zero-initialized head tensor set.
+    """Render a scene into a head tensor set that is zero except where written.
 
     Per item: a Gaussian peak on the item's category channel at the box
     center cell, width/height and the fractional center position at that
@@ -124,19 +174,31 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
     landmark cell. Image dims not divisible by the stride are padded up.
 
     Center-cell collisions keep the larger-area item's regression values;
-    fractional landmark offsets keep the value under the higher heatmap peak
-    (first writer on equal peaks). Both are logged.
+    fractional landmark offsets keep the first writer's values. Both are
+    logged. Overlapping peaks keep the larger value at each cell.
+
+    Only the nonzeros are rendered. The set returned holds them until a
+    tensor is read, which turns that tensor into an ordinary writable
+    float32 array; write_tensors writes unread tensors from the nonzeros.
     """
     validate_scene(scene, table)
     stride = params.stride
     grid_h = -(-scene.height // stride)
     grid_w = -(-scene.width // stride)
-    tensors = new_head_tensors(grid_h, grid_w, stride, len(table.specs))
+    plane = grid_h * grid_w
+    # Flat indices and values written per tensor, in write order.
+    writes: dict[str, tuple[list, list]] = {name: ([], []) for name in TENSOR_NAMES}
+
+    def write(name: str, indices, values) -> None:
+        writes[name][0].append(np.asarray(indices, dtype=np.int64).reshape(-1))
+        writes[name][1].append(np.asarray(values).reshape(-1))
+
+    def stamp(name: str, channels: np.ndarray, rows: np.ndarray, cols: np.ndarray, radius: float) -> None:
+        which, r, c, values = _stamps(rows, cols, radius, grid_h, grid_w)
+        write(name, (channels[which] * grid_h + r) * grid_w + c, values.astype(np.float32))
 
     claims: dict[tuple[int, int], float] = {}
-    refine_best = np.zeros((grid_h, grid_w), dtype=np.float64)
     center_conflicts = 0
-    refine_conflicts = 0
 
     for item in scene.items:
         x1, y1, x2, y2 = item.box
@@ -148,7 +210,7 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
         row = min(int(cy), grid_h - 1)
 
         radius = gaussian_radius(w_cells, h_cells, params.min_overlap) if w_cells > 0 and h_cells > 0 else 0.0
-        render_gaussian(tensors.center[item.category_id - 1], (row, col), radius)
+        stamp("center", np.array([item.category_id - 1]), np.array([row]), np.array([col]), radius)
 
         area = w_cells * h_cells
         owner_area = claims.get((row, col))
@@ -159,43 +221,41 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
             continue
         claims[(row, col)] = area
 
-        tensors.wh[0, row, col] = w_cells
-        tensors.wh[1, row, col] = h_cells
-        tensors.center_offset[0, row, col] = cx - col
-        tensors.center_offset[1, row, col] = cy - row
+        cell = row * grid_w + col
+        write("wh", (cell, plane + cell), (w_cells, h_cells))
+        write("center_offset", (cell, plane + cell), (cx - col, cy - row))
 
-        offset = table.spec(item.category_id).global_offset
-        kp_radius = radius * params.keypoint_radius_scale
-        for local, (lx, ly, vis) in enumerate(item.landmarks):
-            if vis == 0:
-                continue
-            g = offset + local
-            lx_cell = lx / stride
-            ly_cell = ly / stride
-            lcol = min(int(lx_cell), grid_w - 1)
-            lrow = min(int(ly_cell), grid_h - 1)
+        labeled = np.flatnonzero(item.landmarks[:, 2] != 0)
+        if not labeled.size:
+            continue
+        landmarks = item.landmarks[labeled]
+        g = table.spec(item.category_id).global_offset + labeled
+        lx_cell = landmarks[:, 0] / stride
+        ly_cell = landmarks[:, 1] / stride
+        lcol = np.minimum(lx_cell.astype(np.int64), grid_w - 1)
+        lrow = np.minimum(ly_cell.astype(np.int64), grid_h - 1)
 
-            tensors.kp_offset[2 * g, row, col] = lx_cell - col
-            tensors.kp_offset[2 * g + 1, row, col] = ly_cell - row
-            render_gaussian(tensors.kp_heatmap[g], (lrow, lcol), kp_radius)
-
-            if refine_best[lrow, lcol] < 1.0:
-                refine_best[lrow, lcol] = 1.0
-                tensors.kp_refine_offset[0, lrow, lcol] = lx_cell - lcol
-                tensors.kp_refine_offset[1, lrow, lcol] = ly_cell - lrow
-            elif (tensors.kp_refine_offset[0, lrow, lcol], tensors.kp_refine_offset[1, lrow, lcol]) != (
-                np.float32(lx_cell - lcol), np.float32(ly_cell - lrow)
-            ):
-                refine_conflicts += 1
+        write("kp_offset", (2 * g * plane + cell, (2 * g + 1) * plane + cell), (lx_cell - col, ly_cell - row))
+        stamp("kp_heatmap", g, lrow, lcol, radius * params.keypoint_radius_scale)
+        write("kp_refine_offset", lrow * grid_w + lcol, np.stack((lx_cell - lcol, ly_cell - lrow), axis=1))
 
     if center_conflicts:
         logger.warning(
             "image %s: %d center cells claimed twice; keeping the larger-area item at each",
             scene.image_id, center_conflicts,
         )
-    if refine_conflicts:
-        logger.warning(
-            "image %s: %d landmark cells hold offsets of an earlier peak",
-            scene.image_id, refine_conflicts,
-        )
-    return tensors
+
+    shapes = {name: (channels, grid_h, grid_w) for name, channels in _channel_counts(len(table.specs)).items()}
+    nonzeros = {}
+    for name in TENSOR_NAMES:
+        indices, values = writes[name]
+        if not indices:
+            nonzeros[name] = (shapes[name], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
+        elif name in HEATMAP_NAMES:
+            nonzeros[name] = (shapes[name], *_max_composed(indices, values))
+        elif name != "kp_refine_offset":
+            nonzeros[name] = (shapes[name], *_last_written(indices, values))
+        else:
+            nonzeros[name] = (shapes[name], *_refine_offsets(scene.image_id, plane, indices, values))
+    return _SparseTensorSet(stride, nonzeros)
+

@@ -9,9 +9,11 @@ Layout per tensor, channel-outermost [C][H][W]:
     kp_heatmap       [294] per-keypoint heatmaps, values in [0, 1]
     kp_refine_offset [2]   fractional landmark position (dx, dy) in [0, 1)
 
-The sets that flip_tensors and fuse_tensors return hold the four regression
-tensors as lazy grids (`_LazyGrid`), which index like arrays and
-materialise on `np.asarray`.
+The sets that flip_tensors and fuse_tensors return, and the sparse blocks
+that read_tensors reads, hold the four regression tensors as lazy grids
+(`_LazyGrid`), which index like arrays and materialise on `np.asarray`.
+encode_scene returns a `_SparseTensorSet`, which holds every tensor as its
+nonzeros until a caller reads it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 from .categories import TOTAL_KEYPOINTS, CategoryTable
 
 TENSOR_NAMES = ("center", "wh", "center_offset", "kp_offset", "kp_heatmap", "kp_refine_offset")
+# The tensors decode scans whole for peaks; the other four it reads only at picked cells.
+HEATMAP_NAMES = ("center", "kp_heatmap")
 
 
 class TensorValidationError(ValueError):
@@ -99,18 +103,52 @@ class HeadTensorSet:
 
 def new_head_tensors(height: int, width: int, stride: int, num_categories: int = 13) -> HeadTensorSet:
     """Allocate an all-zero, correctly shaped tensor set."""
-    def grid(channels: int) -> np.ndarray:
-        return np.zeros((channels, height, width), dtype=np.float32)
-
     return HeadTensorSet(
         stride=stride,
-        center=grid(num_categories),
-        wh=grid(2),
-        center_offset=grid(2),
-        kp_offset=grid(2 * TOTAL_KEYPOINTS),
-        kp_heatmap=grid(TOTAL_KEYPOINTS),
-        kp_refine_offset=grid(2),
+        **{
+            name: np.zeros((channels, height, width), dtype=np.float32)
+            for name, channels in _channel_counts(num_categories).items()
+        },
     )
+
+
+class _SparseTensorSet(HeadTensorSet):
+    """A tensor set held as the nonzeros of each tensor until a caller reads it.
+
+    `nonzeros` maps each name in TENSOR_NAMES to (shape, flat indices,
+    values): strictly ascending indices into the C*H*W values and the
+    float32 values there; every other value is +0.0. The first read
+    of a tensor as an attribute turns it into an ordinary writable float32
+    array, and from then on that array is the tensor, so writes through it
+    stick.
+    """
+
+    def __init__(self, stride: int, nonzeros: dict[str, tuple[tuple[int, int, int], np.ndarray, np.ndarray]]):
+        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "_nonzeros", nonzeros)
+        object.__setattr__(self, "_arrays", {})
+
+    def unread(self, name: str) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray] | None:
+        """(shape, indices, values) of a tensor no caller has read yet, else None."""
+        return None if name in self._arrays else self._nonzeros[name]
+
+
+def _array_on_read(name: str) -> property:
+    def read(self: _SparseTensorSet) -> np.ndarray:
+        grid = self._arrays.get(name)
+        if grid is None:
+            shape, indices, values = self._nonzeros[name]
+            grid = np.zeros(shape, dtype=np.float32)
+            grid.reshape(-1)[indices] = values
+            # setdefault: of two threads reading at once, both get the array kept.
+            grid = self._arrays.setdefault(name, grid)
+        return grid
+
+    return property(read)
+
+
+for _name in TENSOR_NAMES:
+    setattr(_SparseTensorSet, _name, _array_on_read(_name))
 
 
 @dataclass(frozen=True)
@@ -119,9 +157,9 @@ class ValidationResult:
     issues: tuple[str, ...]
 
 
-def _expected_channels(table: CategoryTable) -> dict[str, int]:
+def _channel_counts(num_categories: int) -> dict[str, int]:
     return {
-        "center": len(table.specs),
+        "center": num_categories,
         "wh": 2,
         "center_offset": 2,
         "kp_offset": 2 * TOTAL_KEYPOINTS,
@@ -138,7 +176,7 @@ def _first_cell(mask: np.ndarray) -> tuple[int, int, int]:
 def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
     """Issues with channel counts, spatial dims and stride; reads no values."""
     issues: list[str] = []
-    expected = _expected_channels(table)
+    expected = _channel_counts(len(table.specs))
     shapes = {}
     for name in TENSOR_NAMES:
         grid = getattr(tensors, name)
@@ -178,7 +216,7 @@ def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> Valid
     Returns a result listing every issue found (empty issue list means valid).
     """
     issues = _shape_issues(tensors, table)
-    for name in ("center", "kp_heatmap"):
+    for name in HEATMAP_NAMES:
         grid = getattr(tensors, name)
         if isinstance(grid, np.ndarray) and grid.ndim == 3 and grid.size:
             if grid.dtype == np.float32 and grid.view(np.uint32).max() <= _ONE_BITS:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .categories import TOTAL_KEYPOINTS, CategoryTable
 from .decode import DecodeConfig, decode_scene
-from .heads import HeadTensorSet, _LazyGrid, require_shapes
+from .heads import HEATMAP_NAMES, HeadTensorSet, _LazyGrid, require_shapes
 from .scene import Detection
 
 DEFAULT_SCALES = (1.0, 0.75)
@@ -209,7 +209,7 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
     def fused(name: str):
         grids = [(getattr(ts, name), share) for ts, share in live]
         dtype = getattr(first, name).dtype
-        if name in ("center", "kp_heatmap"):
+        if name in HEATMAP_NAMES:
             return _blockwise_sum(grids, dtype)
 
         def gather(c, r, x):

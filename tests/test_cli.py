@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,30 @@ class TestEncodeDecode:
         suffixes = {p.name.replace("synth-0005-0000", "") for p in out.glob("synth-0005-0000*")}
         assert suffixes == {".dmrk", "@flip.dmrk", "@s0.75.dmrk", "@s0.75@flip.dmrk"}
 
+    @pytest.mark.parametrize("scales,message", [
+        ("inf", "--scales must be positive and finite, got inf in 'inf'"),
+        ("nan", "--scales must be positive and finite, got nan in 'nan'"),
+        ("1e-300", "--scales value 1e-300 leaves image 'synth-0005-0000' (256x256) with no pixels"),
+        ("1.0,1.0", "--scales lists scale 1 twice, in '1.0,1.0'"),
+    ])
+    def test_encode_rejects_bad_scales(self, workspace, tmp_path, capsys, scales, message):
+        out = tmp_path / "views"
+        assert main(["encode", "--scenes", str(workspace / "scenes.json"), "--out-dir", str(out),
+                     "--scales", scales]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*.dmrk"))
+
+    @pytest.mark.parametrize("scales,message", [
+        ("inf", "--scales must be positive and finite, got inf in 'inf'"),
+        ("nan", "--scales must be positive and finite, got nan in 'nan'"),
+        ("1.0,1", "--scales lists scale 1 twice, in '1.0,1'"),
+    ])
+    def test_decode_rejects_bad_scales(self, workspace, tmp_path, capsys, scales, message):
+        out = tmp_path / "dets.json"
+        assert main(["decode", "--tensors", str(workspace / "tensors"), "--out", str(out), "--scales", scales]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decode_reproducible_across_workers(self, workspace, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         tensors = str(workspace / "tensors")
@@ -106,8 +131,9 @@ class TestEncodeDecode:
 
     def test_decode_rejects_nan_regression_value(self, tmp_path, capsys):
         path, container, (_, row, col) = self._seed7_container(tmp_path)
-        container.wh[0, row, col] = np.nan
-        write_tensors(path, container)
+        wh = np.array(container.wh)
+        wh[0, row, col] = np.nan
+        write_tensors(path, replace(container, wh=wh))
         out = tmp_path / "dets.json"
         assert main(["decode", "--tensors", str(path.parent), "--out", str(out)]) == 2
         captured = capsys.readouterr()

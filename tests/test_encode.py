@@ -3,13 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clothdet import (
     EncodeParams,
+    GroundTruthItem,
+    SynthParams,
     encode_scene,
     gaussian_radius,
+    mirror_scene,
+    new_head_tensors,
+    read_tensors,
     render_gaussian,
+    scale_scene,
+    synth_scenes,
     validate_head_tensors,
+    write_tensors,
 )
 from conftest import make_item, make_scene
 
@@ -262,3 +272,154 @@ def test_encode_rejects_mismatched_scene(table):
     bad = type(bad)(category_id=1, box=bad.box, landmarks=bad.landmarks[:10])
     with pytest.raises(ValueError, match="needs 25 landmarks"):
         encode_scene(make_scene(table, [bad]), table)
+
+
+def _dense_render(grid, center_cell, radius):
+    """render_gaussian as a window slice of the grid, the reference for the sparse stamps."""
+    row, col = center_cell
+    height, width = grid.shape
+    extent = int(radius)
+    sigma = max(radius, 1.0) / 3.0
+    ys = np.arange(-extent, extent + 1, dtype=np.float64)
+    kernel = np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / (2 * sigma * sigma))
+    top, bottom = max(0, row - extent), min(height, row + extent + 1)
+    left, right = max(0, col - extent), min(width, col + extent + 1)
+    window = grid[top:bottom, left:right]
+    clipped = kernel[top - (row - extent) : bottom - (row - extent), left - (col - extent) : right - (col - extent)]
+    np.maximum(window, clipped.astype(grid.dtype), out=window)
+
+
+def dense_encode_scene(scene, table, params=EncodeParams()):
+    """encode_scene written into dense zero tensors, one item and landmark at a time."""
+    stride = params.stride
+    grid_h, grid_w = -(-scene.height // stride), -(-scene.width // stride)
+    tensors = new_head_tensors(grid_h, grid_w, stride, len(table.specs))
+    claims = {}
+    refine_set = np.zeros((grid_h, grid_w), dtype=bool)
+    for item in scene.items:
+        x1, y1, x2, y2 = item.box
+        w_cells, h_cells = (x2 - x1) / stride, (y2 - y1) / stride
+        cx, cy = (x1 + x2) / 2 / stride, (y1 + y2) / 2 / stride
+        col, row = min(int(cx), grid_w - 1), min(int(cy), grid_h - 1)
+        radius = gaussian_radius(w_cells, h_cells, params.min_overlap) if w_cells > 0 and h_cells > 0 else 0.0
+        _dense_render(tensors.center[item.category_id - 1], (row, col), radius)
+        area = w_cells * h_cells
+        if (row, col) in claims and area <= claims[(row, col)]:
+            continue
+        claims[(row, col)] = area
+        tensors.wh[:, row, col] = (w_cells, h_cells)
+        tensors.center_offset[:, row, col] = (cx - col, cy - row)
+        offset = table.spec(item.category_id).global_offset
+        for local, (lx, ly, vis) in enumerate(item.landmarks):
+            if vis == 0:
+                continue
+            g = offset + local
+            lx_cell, ly_cell = lx / stride, ly / stride
+            lcol, lrow = min(int(lx_cell), grid_w - 1), min(int(ly_cell), grid_h - 1)
+            tensors.kp_offset[2 * g : 2 * g + 2, row, col] = (lx_cell - col, ly_cell - row)
+            _dense_render(tensors.kp_heatmap[g], (lrow, lcol), radius * params.keypoint_radius_scale)
+            if not refine_set[lrow, lcol]:
+                refine_set[lrow, lcol] = True
+                tensors.kp_refine_offset[:, lrow, lcol] = (lx_cell - lcol, ly_cell - lrow)
+    return tensors
+
+
+@st.composite
+def crowded_scenes(draw, table):
+    """Small scenes whose centers and landmarks crowd onto few cells, many of them on cell edges."""
+    width = draw(st.integers(1, 41), label="width")
+    height = draw(st.integers(1, 41), label="height")
+
+    def coord(limit):
+        # Multiples of the stride give offsets of exactly 0.0; 0 and the limit clip windows at the border.
+        edges = [v for v in (0.0, 4.0, 8.0, float(limit)) if v <= limit]
+        return draw(st.one_of(st.sampled_from(edges), st.floats(0, limit)))
+
+    items = []
+    for _ in range(draw(st.integers(0, 5), label="items")):
+        category = draw(st.sampled_from([1, 2, 13]), label="category")
+        x1, x2 = sorted((coord(width), coord(width)))
+        y1, y2 = sorted((coord(height), coord(height)))
+        count = table.keypoint_count(category)
+        landmarks = np.empty((count, 3))
+        picks = [(coord(width), coord(height)) for _ in range(draw(st.integers(1, 3), label="spots"))]
+        for k in range(count):
+            landmarks[k, :2] = picks[draw(st.integers(0, len(picks) - 1), label="spot")]
+        landmarks[:, 2] = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=count, max_size=count), label="visibility")
+        items.append(GroundTruthItem(category_id=category, box=np.array([x1, y1, x2, y2]), landmarks=landmarks))
+    return make_scene(table, items, width=width, height=height)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("encode")
+
+
+def assert_same_encoding(scene, table, workdir, params=EncodeParams()):
+    want = dense_encode_scene(scene, table, params)
+    got = encode_scene(scene, table, params)
+    a, b = workdir / "got.dmrk", workdir / "want.dmrk"
+    write_tensors(a, got)
+    write_tensors(b, want)
+    assert a.read_bytes() == b.read_bytes()
+    for name, grid in want.named().items():
+        array = getattr(got, name)
+        assert type(array) is np.ndarray and array.dtype == np.float32 and array.flags.writeable, name
+        np.testing.assert_array_equal(array.view(np.uint32), grid.view(np.uint32), err_msg=name)
+
+
+@given(data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_encode_matches_dense_reference(table, workdir, data):
+    scene = data.draw(crowded_scenes(table), label="scene")
+    stride = data.draw(st.sampled_from([1, 3, 4]), label="stride")
+    assert_same_encoding(scene, table, workdir, EncodeParams(stride=stride))
+
+
+@pytest.mark.parametrize("seed,width,height,scale,mirrored", [
+    (10, 512, 512, 1.0, False),
+    (11, 512, 512, 0.75, True),
+    (12, 200, 196, 1.0, True),
+    (13, 64, 64, 1.0, False),
+    (14, 256, 256, 0.75, False),
+])
+def test_encode_matches_dense_reference_on_synth_views(table, workdir, seed, width, height, scale, mirrored):
+    params = SynthParams(seed=seed, num_images=2, image_width=width, image_height=height,
+                         min_box_size=min(64, width // 4), max_box_size=min(160, width // 2),
+                         occlusion_prob=0.3, unlabeled_prob=0.2, min_visible=1)
+    for scene in synth_scenes(params, table):
+        view = scene if scale == 1.0 else scale_scene(scene, scale)
+        assert_same_encoding(mirror_scene(view, table) if mirrored else view, table, workdir)
+
+
+def test_encode_equal_area_collision_keeps_first(table):
+    first = make_item(table, 1, [32, 32, 48, 48])
+    second = make_item(table, 2, [36, 24, 44, 56])  # same center cell, same area
+    tensors = encode_scene(make_scene(table, [first, second]), table)
+    assert tensors.wh[0, 10, 10] == 4.0 and tensors.wh[1, 10, 10] == 4.0
+
+
+def test_encode_refine_conflict_keeps_first_and_warns(table, caplog):
+    # Two landmarks in cell (11, 11) at different fractional positions.
+    pixels = np.array([[44.5, 45.0], [46.0, 47.0]] + [[20.0, 20.0]] * 23)
+    item = make_item(table, 1, [32, 28, 48, 52], landmark_pixels=pixels)
+    with caplog.at_level(logging.WARNING):
+        tensors = encode_scene(make_scene(table, [item]), table)
+    assert tensors.kp_refine_offset[:, 11, 11].tolist() == [0.125, 0.25]
+    assert any("1 landmark cells hold offsets of an earlier peak" in rec.message for rec in caplog.records)
+
+
+def test_write_after_read_writes_the_array(table, tmp_path):
+    scene = synth_scenes(SynthParams(seed=3, num_images=1, image_width=96, image_height=96, max_box_size=64), table)[0]
+    tensors = encode_scene(scene, table)
+    reference = dense_encode_scene(scene, table)
+    tensors.wh[0, 1, 2] = 7.5
+    reference.wh[0, 1, 2] = 7.5
+    path, want = tmp_path / "t.dmrk", tmp_path / "want.dmrk"
+    write_tensors(path, tensors)
+    write_tensors(want, reference)
+    assert path.read_bytes() == want.read_bytes()
+    loaded = read_tensors(path)
+    assert loaded.wh[0, 1, 2] == 7.5
+    for name, grid in reference.named().items():
+        np.testing.assert_array_equal(np.asarray(loaded.named()[name]).view(np.uint32), grid.view(np.uint32))

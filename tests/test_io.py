@@ -29,7 +29,7 @@ from clothdet import (
 )
 from clothdet import fileio
 from clothdet.cli import main
-from clothdet.heads import TENSOR_NAMES
+from clothdet.heads import TENSOR_NAMES, _LazyGrid
 
 
 def random_tensor_set(seed=0, height=12, width=20, stride=4):
@@ -106,7 +106,7 @@ def directory(blob):
 
 def assert_bits_equal(loaded, tensors):
     for name, grid in tensors.named().items():
-        got = loaded.named()[name]
+        got = np.asarray(loaded.named()[name])
         assert got.dtype == np.float32 and got.shape == grid.shape, name
         np.testing.assert_array_equal(got.view(np.uint32), grid.view(np.uint32), err_msg=name)
 
@@ -218,6 +218,26 @@ class TestSparseContainer:
         entries, _ = directory(path.read_bytes())
         assert [encoding for _, encoding in entries] == [1] * len(TENSOR_NAMES)
         assert_bits_equal(read_tensors(path), tensors)
+
+    def test_regression_blocks_read_lazily_with_exact_bits(self, tmp_path):
+        bits = np.array([0x80000000, 0x7FC0BEEF, 0xFF800001, 0x00000001, 0x80000001, 0x3FC00000], dtype=np.uint32)
+        specials = bits.view(np.float32)  # -0.0, two NaN payloads, two subnormals, 1.5
+        tensors = new_head_tensors(6, 5, 4)
+        tensors.center[3, 2, 1] = 0.5
+        tensors.wh.reshape(-1)[[0, 7, 59]] = specials[:3]  # first and last flat index included
+        tensors.kp_offset.reshape(-1)[[5, 1000, 17000]] = specials[3:]
+        tensors.kp_refine_offset[1, 5, 4] = specials[1]
+        path = tmp_path / "t.dmrk"
+        write_tensors(path, tensors)
+        loaded = read_tensors(path)
+        assert type(loaded.center) is np.ndarray and type(loaded.kp_heatmap) is np.ndarray
+        for name in ("wh", "center_offset", "kp_offset", "kp_refine_offset"):
+            grid, want = loaded.named()[name], tensors.named()[name].view(np.uint32)
+            assert isinstance(grid, _LazyGrid) and grid.shape == want.shape and grid.dtype == np.float32, name
+            np.testing.assert_array_equal(np.asarray(grid).view(np.uint32), want, err_msg=name)
+            np.testing.assert_array_equal(grid.gather(*np.indices(grid.shape)).view(np.uint32), want, err_msg=name)
+            np.testing.assert_array_equal(grid[:, 5, ::-2].view(np.uint32), want[:, 5, ::-2], err_msg=name)
+        assert_bits_equal(loaded, tensors)
 
     def test_dense_set_writes_dense_blocks(self, tmp_path):
         tensors = random_tensor_set(seed=9)
@@ -331,10 +351,11 @@ class TestSparseContainer:
             while isinstance(base, np.ndarray):
                 base = base.base
             assert isinstance(base, bytes) and base == path.read_bytes()
-        # Sparse blocks are scattered into fresh arrays.
+        # Sparse blocks are scattered into fresh arrays, at once or on np.asarray.
         scene = synth_scenes(SynthParams(seed=2, num_images=1, image_width=96, image_height=96, max_box_size=64), table)[0]
         write_tensors(path, encode_scene(scene, table))
         for grid in read_tensors(path).named().values():
+            grid = np.asarray(grid)
             assert grid.flags.writeable and grid.base.flags.owndata
 
     def test_dense_views_are_aligned(self, tmp_path):
