@@ -12,8 +12,10 @@ cell (0, 0): a zero cell is never strictly greater than a preceding
 neighbor, and (0, 0) is the only cell with none, so it is a peak only when
 its successors are zero too. For the keypoint heatmaps they are the cells
 at or above the threshold. Dense candidate sets take a full-grid
-comparison instead. Coarse keypoints and snapping run for all peaks in one
-vectorised pass.
+comparison instead. A heatmap held as a `heads._SparseGrid` finds its
+candidates among its listed cells and its neighbor values by binary search,
+without being scattered. Coarse keypoints and snapping run for all peaks in
+one vectorised pass.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import TOTAL_KEYPOINTS, CategoryTable
-from .heads import HeadTensorSet, TensorValidationError, require_valid
+from .heads import HeadTensorSet, TensorValidationError, _grid, _SparseGrid, _take, require_valid
 from .scene import Detection
 
 # Neighbor offsets that precede a cell in row-major order require a strict
@@ -59,8 +61,8 @@ class Peak:
     score: float
 
 
-def _peak_arrays(stack: np.ndarray, min_score: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All peak cells of a (C, H, W) stack with score >= min_score.
+def _peak_arrays(stack, min_score: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All peak cells of a (C, H, W) array or `_SparseGrid` with score >= min_score.
 
     A cell is a peak iff its value is >= every 8-neighbor and strictly
     greater than equal-valued neighbors preceding it row-major. Returns
@@ -74,8 +76,18 @@ def _peak_arrays(stack: np.ndarray, min_score: float) -> tuple[np.ndarray, np.nd
     cell (0, 0). Otherwise they are the cells with score >= min_score. Above
     _DENSE_FRACTION of the stack one full-grid comparison checks them;
     below it each candidate's neighbors are gathered by flat-index offsets.
+
+    A `_SparseGrid` finds its candidates among its listed cells and reads
+    neighbors through its binary search. It is scattered into an array only
+    when the full-grid comparison applies, or when the zero rule fails with
+    min_score <= 0: then every unlisted +0.0 cell is a candidate.
     """
     channels, height, width = stack.shape
+    if isinstance(stack, _SparseGrid):
+        flat = _sparse_candidates(stack, min_score)
+        if flat is not None and flat.size <= _DENSE_FRACTION * channels * height * width:
+            return _check_candidates(flat, stack.at, stack.shape)
+        stack = np.asarray(stack)
     data = stack.reshape(-1)
     flat = above = None
     if min_score <= 0 and stack.size:
@@ -103,10 +115,34 @@ def _peak_arrays(stack: np.ndarray, min_score: float) -> tuple[np.ndarray, np.nd
             keep &= stack >= padded[:, 1 + dy : 1 + dy + height, 1 + dx : 1 + dx + width]
         chan, row, col = np.nonzero(keep)
         return chan, row, col, stack[chan, row, col]
+    return _check_candidates(flat, data.__getitem__, stack.shape)
 
+
+def _sparse_candidates(grid: _SparseGrid, min_score: float) -> np.ndarray | None:
+    """The ascending int64 candidate cells of _peak_arrays in a sparse grid.
+
+    The unlisted cells are +0.0: candidates only as the zero rule's (0, 0),
+    which needs min_score <= 0 and no negative or NaN value listed. None
+    when min_score <= 0 and the rule fails, since every cell is then a
+    candidate.
+    """
+    indices, values = grid.indices.astype(np.int64), grid.values
+    if not min_score <= 0:
+        return indices[values >= min_score]
+    channels, height, width = grid.shape
+    if not channels * height * width or not (values >= 0).all():
+        return None
+    flat = np.concatenate((indices[values != 0], np.arange(channels, dtype=np.int64) * (height * width)))
+    flat.sort()
+    return flat[np.diff(flat, prepend=-1) != 0]
+
+
+def _check_candidates(flat: np.ndarray, value_at, shape: tuple[int, int, int]):
+    """_peak_arrays over the ascending candidate cells `flat`, reading values through `value_at(flat indices)`."""
+    _, height, width = shape
     chan, cell = np.divmod(flat, height * width)
     row, col = np.divmod(cell, width)
-    value = data[flat]
+    value = value_at(flat)
     row_inside = {-1: row > 0, 0: np.True_, 1: row < height - 1}
     col_inside = {-1: col > 0, 0: np.True_, 1: col < width - 1}
     # A neighbor outside the grid counts as -inf, as in the dense path. It
@@ -116,7 +152,7 @@ def _peak_arrays(stack: np.ndarray, min_score: float) -> tuple[np.ndarray, np.nd
     for strict, offsets in ((True, _PRECEDING), (False, _SUCCEEDING)):
         for dy, dx in offsets:
             inside = row_inside[dy] & col_inside[dx]
-            neighbor = data[np.where(inside, flat + (dy * width + dx), flat)]
+            neighbor = value_at(np.where(inside, flat + (dy * width + dx), flat))
             keep &= ((value > neighbor) if strict else (value >= neighbor)) | ~inside
     return chan[keep], row[keep], col[keep], value[keep]
 
@@ -127,7 +163,9 @@ def extract_peaks(heatmap_stack: np.ndarray, k: int | None, min_score: float) ->
     Sorted by score descending, ties by (channel, row, col) ascending.
     Pass k=None for no limit.
     """
-    chan, row, col, score = _peak_arrays(np.asarray(heatmap_stack), min_score)
+    if not isinstance(heatmap_stack, _SparseGrid):
+        heatmap_stack = np.asarray(heatmap_stack)
+    chan, row, col, score = _peak_arrays(heatmap_stack, min_score)
     # Stable, so equal scores keep the (channel, row, col) order of the peaks.
     order = np.argsort(-score.astype(np.float64), kind="stable")
     if k is not None:
@@ -171,9 +209,10 @@ def _require_finite(values: np.ndarray, name: str, channel, row, col) -> None:
 
 def extract_keypoint_candidates(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> KeypointCandidates:
     """Peaks of every keypoint heatmap channel, refined by the offset channels."""
-    chan, row, col, score = _peak_arrays(tensors.kp_heatmap, config.min_kp_candidate_score)
-    refine = tensors.kp_refine_offset[:, row, col].astype(np.float64)
-    _require_finite(refine, "kp_refine_offset", np.arange(2)[:, None], row, col)
+    chan, row, col, score = _peak_arrays(_grid(tensors, "kp_heatmap"), config.min_kp_candidate_score)
+    channel = np.arange(2)[:, None]
+    refine = _take(_grid(tensors, "kp_refine_offset"), channel, row, col).astype(np.float64)
+    _require_finite(refine, "kp_refine_offset", channel, row, col)
     x = col + refine[0]
     y = row + refine[1]
     starts = np.searchsorted(chan, np.arange(TOTAL_KEYPOINTS + 1))
@@ -198,7 +237,7 @@ def _coarse_keypoints(
     keypoint = offsets[chan][owner] + np.arange(owner.size) - first[owner]
     channel = 2 * keypoint[:, None] + np.arange(2)
     row, col = rows[owner, None], cols[owner, None]
-    block = tensors.kp_offset[channel, row, col].astype(np.float64)
+    block = _take(_grid(tensors, "kp_offset"), channel, row, col).astype(np.float64)
     _require_finite(block, "kp_offset", channel, row, col)
     return block + np.concatenate((col, row), axis=1), owner, keypoint
 
@@ -267,9 +306,9 @@ def _peak_cells(peaks: list[Peak]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Box regression at the peak cells: (n, 4) pixel boxes, computed in cells then scaled."""
-    offset = tensors.center_offset[:, rows, cols].astype(np.float64)
-    size = tensors.wh[:, rows, cols].astype(np.float64)
     channel = np.arange(2)[:, None]
+    offset = _take(_grid(tensors, "center_offset"), channel, rows, cols).astype(np.float64)
+    size = _take(_grid(tensors, "wh"), channel, rows, cols).astype(np.float64)
     _require_finite(offset, "center_offset", channel, rows, cols)
     _require_finite(size, "wh", channel, rows, cols)
     cx = cols + offset[0]
@@ -284,7 +323,7 @@ def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.nda
 
 def decode_detections(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> list[Detection]:
     """Box-only decoding: center peaks to scored category boxes in pixels."""
-    peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
+    peaks = extract_peaks(_grid(tensors, "center"), config.top_k, config.min_center_score)
     _, rows, cols = _peak_cells(peaks)
     boxes = _boxes(tensors, rows, cols)
     return [
@@ -313,7 +352,7 @@ def decode_scene(
             value read at a peak or candidate cell is not finite.
     """
     require_valid(tensors, table)
-    peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
+    peaks = extract_peaks(_grid(tensors, "center"), config.top_k, config.min_center_score)
     chan, rows, cols = _peak_cells(peaks)
     boxes = _boxes(tensors, rows, cols)
     cands = extract_keypoint_candidates(tensors, config)

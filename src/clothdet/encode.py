@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import CategoryTable
-from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _channel_counts, _SparseTensorSet
+from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _channel_counts, _SparseGrid, _SparseTensorSet
 from .scene import Scene, validate_scene
 
 logger = logging.getLogger(__name__)
@@ -178,8 +178,9 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
     logged. Overlapping peaks keep the larger value at each cell.
 
     Only the nonzeros are rendered. The set returned holds them until a
-    tensor is read, which turns that tensor into an ordinary writable
-    float32 array; write_tensors writes unread tensors from the nonzeros.
+    tensor is read as an attribute, which turns that tensor into an
+    ordinary writable float32 array. Until then decode, flip_tensors,
+    fuse_tensors and write_tensors read the nonzeros alone.
     """
     validate_scene(scene, table)
     stride = params.stride
@@ -246,16 +247,16 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
         )
 
     shapes = {name: (channels, grid_h, grid_w) for name, channels in _channel_counts(len(table.specs)).items()}
-    nonzeros = {}
+    grids = {}
     for name in TENSOR_NAMES:
         indices, values = writes[name]
         if not indices:
-            nonzeros[name] = (shapes[name], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
+            grids[name] = _SparseGrid(shapes[name], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
         elif name in HEATMAP_NAMES:
-            nonzeros[name] = (shapes[name], *_max_composed(indices, values))
+            grids[name] = _SparseGrid(shapes[name], *_max_composed(indices, values))
         elif name != "kp_refine_offset":
-            nonzeros[name] = (shapes[name], *_last_written(indices, values))
+            grids[name] = _SparseGrid(shapes[name], *_last_written(indices, values))
         else:
-            nonzeros[name] = (shapes[name], *_refine_offsets(scene.image_id, plane, indices, values))
-    return _SparseTensorSet(stride, nonzeros)
+            grids[name] = _SparseGrid(shapes[name], *_refine_offsets(scene.image_id, plane, indices, values))
+    return _SparseTensorSet(stride, grids)
 

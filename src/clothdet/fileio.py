@@ -19,17 +19,16 @@ channel-outermost, in one of two encodings:
                  is +0.0
 `write_tensors` stores a tensor sparse when that takes fewer bytes and the
 tensor has fewer than 2**32 values, so peaky encoder output is a few
-kilobytes while dense network output keeps dense blocks. It writes the
-tensors of an encode_scene set that no caller has read straight from their
-nonzeros. It starts every block at a file offset that is a multiple of 8,
-with zero bytes between blocks; the reader accepts any gap between blocks,
-so files without the padding still read. All six tensors share center's
-height and width.
+kilobytes while dense network output keeps dense blocks. It writes a
+tensor held as its nonzeros straight from them. It starts every block at a
+file offset that is a multiple of 8, with zero bytes between blocks; the
+reader accepts any gap between blocks, so files without the padding still
+read. All six tensors share center's height and width.
 
-`read_tensors` returns dense blocks as read-only views of the file's bytes,
-scatters the sparse blocks of the two heatmaps into arrays, and keeps the
-sparse blocks of the four regression tensors as lazy grids that look up
-only the cells read.
+`read_tensors` returns dense blocks as read-only views of the file's bytes
+and every sparse block as a `heads._SparseGrid` over its indices and
+values, which decode, flip_tensors, fuse_tensors and write_tensors use
+without scattering it.
 
 Annotation JSON: {"images": [{"image_id", "width", "height",
 "items": [{"category_id", "bbox": [x1,y1,x2,y2], "landmarks": [x,y,v,...]}]}]}.
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import json
 import logging
-import mmap
 import struct
 import sys
 from pathlib import Path
@@ -49,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .categories import CategoryTable
-from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _LazyGrid, _SparseTensorSet
+from .heads import TENSOR_NAMES, HeadTensorSet, _grid, _SparseGrid
 from .scene import Detection, GroundTruthItem, Scene, SceneError, clamp_scene, validate_scene
 
 logger = logging.getLogger(__name__)
@@ -64,8 +62,6 @@ DENSE, SPARSE = 0, 1
 MAX_VALUES = 2**28
 # File offset multiple at which write_tensors starts each block.
 BLOCK_ALIGN = 8
-# The array size in bytes from which numpy asks the kernel for 2 MiB pages.
-HUGE_PAGE_BYTES = 4 << 20
 
 
 class FormatError(ValueError):
@@ -106,10 +102,13 @@ def _nonzero_block(size: int, indices: np.ndarray, values: np.ndarray) -> tuple[
 def write_tensors(path, tensors: HeadTensorSet) -> None:
     """Serialize a head tensor set to a DMRK container file.
 
-    Each tensor is written in the smaller of the two encodings. A tensor of
-    an encode_scene set that no caller has read is written from its
-    nonzeros, with no dense scan; every other tensor, lazy grids from
-    flip_tensors, fuse_tensors and read_tensors included, is scanned whole.
+    Each tensor is written in the smaller of the two encodings. A tensor
+    held as its nonzeros (a `heads._SparseGrid`: a sparse block that
+    read_tensors read, a heatmap that flip_tensors or fuse_tensors made
+    from such grids, or a tensor of an encode_scene set that no caller has
+    read) is written from them, with no dense scan; every other tensor,
+    dense arrays and the lazy regression grids of flip_tensors and
+    fuse_tensors, is scanned whole.
 
     Zero bytes pad the payload so that every block starts at a file offset
     that is a multiple of BLOCK_ALIGN, which keeps the dense views that
@@ -123,13 +122,13 @@ def write_tensors(path, tensors: HeadTensorSet) -> None:
     blocks = []
     offset = 0
     for name, encoded in zip(TENSOR_NAMES, names):
-        unread = tensors.unread(name) if isinstance(tensors, _SparseTensorSet) else None
-        if unread is None:
-            grid = np.asarray(getattr(tensors, name))
-            (channels, height, width), (encoding, parts) = grid.shape, _block(grid)
+        grid = _grid(tensors, name)
+        if isinstance(grid, _SparseGrid):
+            channels, height, width = grid.shape
+            encoding, parts = _nonzero_block(channels * height * width, grid.indices, grid.values)
         else:
-            (channels, height, width), indices, values = unread
-            encoding, parts = _nonzero_block(channels * height * width, indices, values)
+            grid = np.asarray(grid)
+            (channels, height, width), (encoding, parts) = grid.shape, _block(grid)
         pad = -(payload_start + offset) % BLOCK_ALIGN
         offset += pad
         header += struct.pack("<H", len(encoded)) + encoded
@@ -149,12 +148,12 @@ def read_tensors(path) -> HeadTensorSet:
     Version 1 entries carry no encoding byte and are read as dense blocks.
     A dense tensor is a read-only view of the file's bytes, not a copy. A
     sparse block's extent is its 4-byte count plus 8 bytes per nonzero.
-    A sparse center or kp_heatmap starts as zeros and the values are
-    scattered in. A sparse wh, center_offset, kp_offset or
-    kp_refine_offset comes back as a `heads._LazyGrid`: indexing it
-    binary-searches the block's indices, giving the stored bits at a listed
-    cell and +0.0 elsewhere, and `np.asarray` scatters the whole tensor.
-    Every block is checked here, before the set is returned.
+    Every sparse block comes back as a `heads._SparseGrid` over read-only
+    views of its indices and values: indexing it binary-searches the
+    indices, giving the stored bits at a listed cell and +0.0 elsewhere,
+    and `np.asarray` scatters the whole tensor into a new array. That
+    scatter raises FormatError when the array cannot be allocated. Every
+    block is checked here, before the set is returned.
 
     Raises:
         FormatError: bad magic, unsupported version, malformed or overlapping
@@ -253,10 +252,7 @@ def read_tensors(path) -> HeadTensorSet:
             grids[name] = np.frombuffer(data, dtype="<f4", count=size, offset=start).reshape(shape)
             continue
         indices, values = _sparse_entries(name, data, start, nonzeros[name], size)
-        if name in HEATMAP_NAMES:
-            grids[name] = _scatter(name, indices, values, size).reshape(shape)
-        else:
-            grids[name] = _sparse_grid(name, shape, indices, values)
+        grids[name] = _SparseBlock(name, shape, indices, values)
     return HeadTensorSet(stride=stride, **grids)
 
 
@@ -271,55 +267,19 @@ def _sparse_entries(name: str, data: bytes, start: int, count: int, size: int) -
     return indices, values
 
 
-def _scatter(name: str, indices: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The `size` values of a tensor as a new writable array: `values` at the flat `indices`, +0.0 elsewhere.
+class _SparseBlock(_SparseGrid):
+    """The `_SparseGrid` of a checked sparse block, named after its directory entry."""
 
-    From HUGE_PAGE_BYTES up, the zeros are a private anonymous mapping of
-    the array's own where the platform has one, not np.zeros. numpy asks
-    for 2 MiB pages on such arrays, so scattering a few hundred values
-    faults in megabytes, and once one such block is freed glibc serves the
-    next request of that size from its heap, clearing it whole and keeping
-    it resident. In a mapping of its own the kernel zero-fills 4 KiB pages
-    as they are first written, and the pages go back when the array is
-    freed, so a sparse tensor costs memory in proportion to the pages its
-    nonzeros touch. The mapping asks for 2 MiB pages only after the
-    scatter, so that reading a 2 MiB range with no nonzeros maps the shared
-    zero page once instead of faulting per 4 KiB page.
-    """
-    buffer = None
-    try:
-        if 4 * size >= HUGE_PAGE_BYTES and hasattr(mmap, "MAP_PRIVATE"):
-            buffer = mmap.mmap(-1, 4 * size, flags=mmap.MAP_PRIVATE)
-            grid = np.frombuffer(buffer, dtype=np.float32)
-        else:
-            grid = np.zeros(size, dtype=np.float32)
-    except (MemoryError, OSError):
-        raise FormatError(f"sparse entry {name!r} declares {size} values, more than can be allocated") from None
-    grid[indices] = values
-    if buffer is not None and hasattr(mmap, "MADV_HUGEPAGE"):
-        buffer.madvise(mmap.MADV_HUGEPAGE)
-    return grid
+    def __init__(self, name: str, shape: tuple[int, int, int], indices: np.ndarray, values: np.ndarray):
+        super().__init__(shape, indices, values)
+        self.name = name
 
-
-def _sparse_grid(name: str, shape: tuple[int, int, int], indices: np.ndarray, values: np.ndarray) -> _LazyGrid:
-    """A lazy grid over a checked sparse block: +0.0 except `values` at the flat `indices`."""
-    channels, height, width = shape
-    # Sparse blocks hold fewer than 2**32 values, so every flat index fits in uint32.
-    last = len(indices) - 1
-
-    def gather(c, r, x):
-        flat = ((np.asarray(c, dtype=np.int64) * height + r) * width + x).astype(np.uint32)
-        out = np.zeros(flat.shape, dtype=np.float32)
-        if last >= 0:
-            at = np.minimum(np.searchsorted(indices, flat), last)
-            hit = indices[at] == flat
-            out[hit] = values[at[hit]]
-        return out
-
-    def whole():
-        return _scatter(name, indices, values, channels * height * width).reshape(shape)
-
-    return _LazyGrid(shape, np.float32, gather, whole)
+    def whole(self) -> np.ndarray:
+        try:
+            return super().whole()
+        except MemoryError:
+            size = self.shape[0] * self.shape[1] * self.shape[2]
+            raise FormatError(f"sparse entry {self.name!r} declares {size} values, more than can be allocated") from None
 
 
 def _require(doc: dict, key: str, where: str):

@@ -9,11 +9,17 @@ Layout per tensor, channel-outermost [C][H][W]:
     kp_heatmap       [294] per-keypoint heatmaps, values in [0, 1]
     kp_refine_offset [2]   fractional landmark position (dx, dy) in [0, 1)
 
-The sets that flip_tensors and fuse_tensors return, and the sparse blocks
-that read_tensors reads, hold the four regression tensors as lazy grids
-(`_LazyGrid`), which index like arrays and materialise on `np.asarray`.
-encode_scene returns a `_SparseTensorSet`, which holds every tensor as its
-nonzeros until a caller reads it.
+A tensor is a dense array or a lazy grid (`_LazyGrid`), which indexes like
+an array and materialises on `np.asarray`. A `_SparseGrid` is the lazy grid
+of a tensor held as its listed cells: (shape, strictly ascending flat
+indices, float32 values), +0.0 elsewhere. read_tensors returns one for every
+sparse block, encode_scene returns a `_SparseTensorSet` that holds one per
+tensor until a caller reads the tensor as an attribute, and flip_tensors
+and fuse_tensors keep heatmaps in that form. Validation, peak search, flip,
+fuse and write_tensors read such a heatmap's listed cells alone, and read
+every tensor of a set through `_grid`, so an unread `_SparseTensorSet`
+tensor is never scattered. The regression tensors of flipped and fused
+sets are lazy grids computed at the cells read.
 """
 
 from __future__ import annotations
@@ -54,11 +60,6 @@ class _LazyGrid:
         self.dtype = np.dtype(dtype)
         self.gather = gather
         self.whole = whole
-        # Zero-copy views holding each cell's channel, row and column.
-        self._coords = [
-            np.broadcast_to(np.arange(size).reshape([-1 if a == axis else 1 for a in range(3)]), self.shape)
-            for axis, size in enumerate(self.shape)
-        ]
 
     @property
     def nbytes(self) -> int:
@@ -66,7 +67,9 @@ class _LazyGrid:
 
     def __getitem__(self, key):
         cells = []
-        for coords in self._coords:
+        for axis, size in enumerate(self.shape):
+            # A zero-copy view holding each cell's index along this axis.
+            coords = np.broadcast_to(np.arange(size).reshape([-1 if a == axis else 1 for a in range(3)]), self.shape)
             picked = np.asarray(coords[key])
             # A basic index keeps the zero strides of the broadcast views; those
             # axes stay at length 1, so an index array is only as large as the
@@ -77,6 +80,42 @@ class _LazyGrid:
     def __array__(self, dtype=None, copy=None):
         grid = self.whole()
         return grid if dtype is None else grid.astype(dtype, copy=False)
+
+
+class _SparseGrid(_LazyGrid):
+    """A float32 [C][H][W] grid held as its listed cells; every other value is +0.0.
+
+    `indices` are strictly ascending flat indices into the C*H*W values and
+    `values` the float32 values there. A listed value may itself be +0.0.
+    `gather` binary-searches the indices; `np.asarray` scatters the values
+    into a new writable array.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], indices: np.ndarray, values: np.ndarray):
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(np.float32)
+        self.indices = indices
+        self.values = values
+
+    def at(self, flat: np.ndarray) -> np.ndarray:
+        """The values at non-negative int64 flat indices, as a new float32 array of their shape."""
+        out = np.zeros(flat.shape, dtype=np.float32)
+        if len(self.indices):
+            # In the indices' own dtype: searchsorted would otherwise convert them on every call.
+            flat = flat.astype(self.indices.dtype, copy=False)
+            at = np.minimum(np.searchsorted(self.indices, flat), len(self.indices) - 1)
+            hit = self.indices[at] == flat
+            out[hit] = self.values[at[hit]]
+        return out
+
+    def gather(self, c, r, x) -> np.ndarray:
+        _, height, width = self.shape
+        return self.at((np.asarray(c, dtype=np.int64) * height + r) * width + x)
+
+    def whole(self) -> np.ndarray:
+        flat = np.zeros(self.shape[0] * self.shape[1] * self.shape[2], dtype=np.float32)
+        flat[self.indices] = self.values
+        return flat.reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -115,33 +154,24 @@ def new_head_tensors(height: int, width: int, stride: int, num_categories: int =
 class _SparseTensorSet(HeadTensorSet):
     """A tensor set held as the nonzeros of each tensor until a caller reads it.
 
-    `nonzeros` maps each name in TENSOR_NAMES to (shape, flat indices,
-    values): strictly ascending indices into the C*H*W values and the
-    float32 values there; every other value is +0.0. The first read
-    of a tensor as an attribute turns it into an ordinary writable float32
-    array, and from then on that array is the tensor, so writes through it
-    stick.
+    `grids` maps each name in TENSOR_NAMES to a `_SparseGrid`. The first
+    read of a tensor as an attribute turns it into an ordinary writable
+    float32 array, and from then on that array is the tensor, so writes
+    through it stick. `_grid` reads a tensor without that.
     """
 
-    def __init__(self, stride: int, nonzeros: dict[str, tuple[tuple[int, int, int], np.ndarray, np.ndarray]]):
+    def __init__(self, stride: int, grids: dict[str, _SparseGrid]):
         object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "_nonzeros", nonzeros)
+        object.__setattr__(self, "_grids", grids)
         object.__setattr__(self, "_arrays", {})
-
-    def unread(self, name: str) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray] | None:
-        """(shape, indices, values) of a tensor no caller has read yet, else None."""
-        return None if name in self._arrays else self._nonzeros[name]
 
 
 def _array_on_read(name: str) -> property:
     def read(self: _SparseTensorSet) -> np.ndarray:
         grid = self._arrays.get(name)
         if grid is None:
-            shape, indices, values = self._nonzeros[name]
-            grid = np.zeros(shape, dtype=np.float32)
-            grid.reshape(-1)[indices] = values
             # setdefault: of two threads reading at once, both get the array kept.
-            grid = self._arrays.setdefault(name, grid)
+            grid = self._arrays.setdefault(name, self._grids[name].whole())
         return grid
 
     return property(read)
@@ -149,6 +179,18 @@ def _array_on_read(name: str) -> property:
 
 for _name in TENSOR_NAMES:
     setattr(_SparseTensorSet, _name, _array_on_read(_name))
+
+
+def _grid(tensors: HeadTensorSet, name: str):
+    """Tensor `name` of a set for reading: the sparse grid of an unread `_SparseTensorSet` tensor, else the attribute."""
+    if isinstance(tensors, _SparseTensorSet) and name not in tensors._arrays:
+        return tensors._grids[name]
+    return getattr(tensors, name)
+
+
+def _take(grid, c, r, x) -> np.ndarray:
+    """Values of a dense or lazy grid at the broadcast (channel, row, col) cells."""
+    return grid.gather(c, r, x) if isinstance(grid, _LazyGrid) else grid[c, r, x]
 
 
 @dataclass(frozen=True)
@@ -168,18 +210,13 @@ def _channel_counts(num_categories: int) -> dict[str, int]:
     }
 
 
-def _first_cell(mask: np.ndarray) -> tuple[int, int, int]:
-    c, r, col = np.unravel_index(int(np.flatnonzero(mask)[0]), mask.shape)
-    return int(c), int(r), int(col)
-
-
 def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
     """Issues with channel counts, spatial dims and stride; reads no values."""
     issues: list[str] = []
     expected = _channel_counts(len(table.specs))
     shapes = {}
     for name in TENSOR_NAMES:
-        grid = getattr(tensors, name)
+        grid = _grid(tensors, name)
         if not isinstance(grid, (np.ndarray, _LazyGrid)) or grid.ndim != 3:
             issues.append(f"{name}: expected a 3-d [C][H][W] array")
             continue
@@ -210,24 +247,33 @@ def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> Valid
     A float32 heatmap is checked with one max() over its bits read as
     uint32: +0.0 is 0 and 1.0 is 0x3F800000, every value in (0, 1] lies
     between, and -0.0, negative values, infinities and NaN all lie above.
-    A larger maximum, or another dtype, falls back to a min()/max() scan,
-    which accepts -0.0 and locates the first bad cell for the message.
+    A heatmap held as a `_SparseGrid` is checked over its listed values
+    alone, since every other value is +0.0. A larger maximum, or another
+    dtype, falls back to a scan that accepts -0.0 and locates the first bad
+    cell for the message.
 
     Returns a result listing every issue found (empty issue list means valid).
     """
     issues = _shape_issues(tensors, table)
     for name in HEATMAP_NAMES:
-        grid = getattr(tensors, name)
-        if isinstance(grid, np.ndarray) and grid.ndim == 3 and grid.size:
-            if grid.dtype == np.float32 and grid.view(np.uint32).max() <= _ONE_BITS:
-                continue
-            lo, hi = grid.min(), grid.max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                c, r, col = _first_cell(~np.isfinite(grid))
-                issues.append(f"{name}: non-finite value at channel {c}, cell ({r}, {col})")
-            elif lo < 0 or hi > 1:
-                c, r, col = _first_cell((grid < 0) | (grid > 1))
-                issues.append(f"{name}: value {grid[c, r, col]:g} outside [0, 1] at channel {c}, cell ({r}, {col})")
+        grid = _grid(tensors, name)
+        sparse = isinstance(grid, _SparseGrid)
+        if not (sparse or isinstance(grid, np.ndarray) and grid.ndim == 3):
+            continue
+        values = grid.values if sparse else grid
+        if not values.size or values.dtype == np.float32 and values.view(np.uint32).max() <= _ONE_BITS:
+            continue
+        lo, hi = values.min(), values.max()
+        finite = np.isfinite(lo) and np.isfinite(hi)
+        if finite and lo >= 0 and hi <= 1:
+            continue
+        values = values.reshape(-1)
+        i = int(np.argmax((values < 0) | (values > 1) if finite else ~np.isfinite(values)))
+        c, r, col = (int(v) for v in np.unravel_index(int(grid.indices[i]) if sparse else i, grid.shape))
+        if finite:
+            issues.append(f"{name}: value {values[i]:g} outside [0, 1] at channel {c}, cell ({r}, {col})")
+        else:
+            issues.append(f"{name}: non-finite value at channel {c}, cell ({r}, {col})")
 
     return ValidationResult(ok=not issues, issues=tuple(issues))
 

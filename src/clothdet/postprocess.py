@@ -3,13 +3,16 @@
 Flip fusion works in tensor space: mirror the tensors computed on a
 horizontally flipped input back into the original orientation, then average
 with the plain tensors and decode once. Only the heatmaps (center,
-kp_heatmap: 307 of 901 channels) are mirrored and averaged in full, since
-decode scans them. The four regression tensors come back as lazy grids that
-mirror and average both views' values only at the cells decode reads, with
-the same float arithmetic; `np.asarray` materialises them, for
-`write_tensors`. Multiscale fusion works in detection space: decode each
-scale separately, map coordinates back to original pixels, then merge the
-lists under NMS. `infer` runs both, in that order.
+kp_heatmap: 307 of 901 channels) are mirrored and averaged whole, since
+decode scans them. A heatmap held as a `heads._SparseGrid` stays one: its
+listed cells are moved by the flip, and the average runs over the union of
+the inputs' listed cells, with the same float64 arithmetic and float32
+rounding as the dense average. The four regression tensors come back as
+lazy grids that mirror and average both views' values only at the cells
+decode reads; `np.asarray` materialises them, for `write_tensors`.
+Multiscale fusion works in detection space: decode each scale separately,
+map coordinates back to original pixels, then merge the lists under NMS.
+`infer` runs both, in that order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .categories import TOTAL_KEYPOINTS, CategoryTable
 from .decode import DecodeConfig, decode_scene
-from .heads import HEATMAP_NAMES, HeadTensorSet, _LazyGrid, require_shapes
+from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _grid, _LazyGrid, _SparseGrid, _take, require_valid
 from .scene import Detection
 
 DEFAULT_SCALES = (1.0, 0.75)
@@ -80,11 +83,6 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
     return [det for i, det in enumerate(detections) if keep[i]]
 
 
-def _take(grid, c, r, x) -> np.ndarray:
-    """Values of a dense or lazy grid at the broadcast (channel, row, col) cells."""
-    return grid.gather(c, r, x) if isinstance(grid, _LazyGrid) else grid[c, r, x]
-
-
 def _mirrored(
     grid, perm: np.ndarray, negate: np.ndarray | None = None, one_minus: np.ndarray | None = None
 ) -> _LazyGrid:
@@ -111,6 +109,19 @@ def _mirrored(
     return _LazyGrid(grid.shape, grid.dtype, gather, whole)
 
 
+def _mirrored_heatmap(grid, perm: np.ndarray):
+    """A heatmap mirrored to column W-1-c, channel k read from channel perm[k], in the input's form."""
+    if not isinstance(grid, _SparseGrid):
+        return grid[perm, :, ::-1]
+    _, height, width = grid.shape
+    chan, cell = np.divmod(grid.indices.astype(np.int64), height * width)
+    row, col = np.divmod(cell, width)
+    # perm is an involution, so listed channel c moves to channel perm[c].
+    flat = (perm[chan] * height + row) * width + (width - 1 - col)
+    order = np.argsort(flat)
+    return _SparseGrid(grid.shape, flat[order], grid.values[order])
+
+
 def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     """Map a tensor set computed on a mirrored input back to original orientation.
 
@@ -119,9 +130,10 @@ def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     keypoint x offsets negate, and flip-paired keypoint channels swap. The
     transformation is an involution.
 
-    The heatmaps (center, kp_heatmap) are flipped here, into new arrays. The
-    four regression tensors come back lazy: each value is read from the
-    input and transformed only at the cells that are indexed, and
+    The heatmaps (center, kp_heatmap) are flipped here: a dense heatmap
+    into a new array, a `_SparseGrid` into a new one by moving its listed
+    cells. The four regression tensors come back lazy: each value is read
+    from the input and transformed only at the cells that are indexed, and
     `np.asarray` gives the whole flipped tensor.
     """
     kp_perm = np.arange(TOTAL_KEYPOINTS)
@@ -131,14 +143,15 @@ def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     same = np.arange(2)
     x_only = np.array([True, False])
 
+    center = _grid(tensors, "center")
     return HeadTensorSet(
         stride=tensors.stride,
-        center=tensors.center[:, :, ::-1].copy(),
-        wh=_mirrored(tensors.wh, same),
-        center_offset=_mirrored(tensors.center_offset, same, one_minus=x_only),
-        kp_offset=_mirrored(tensors.kp_offset, offset_perm, negate=offset_perm % 2 == 0),
-        kp_heatmap=tensors.kp_heatmap[kp_perm, :, ::-1],
-        kp_refine_offset=_mirrored(tensors.kp_refine_offset, same, one_minus=x_only),
+        center=_mirrored_heatmap(center, np.arange(center.shape[0])),
+        wh=_mirrored(_grid(tensors, "wh"), same),
+        center_offset=_mirrored(_grid(tensors, "center_offset"), same, one_minus=x_only),
+        kp_offset=_mirrored(_grid(tensors, "kp_offset"), offset_perm, negate=offset_perm % 2 == 0),
+        kp_heatmap=_mirrored_heatmap(_grid(tensors, "kp_heatmap"), kp_perm),
+        kp_refine_offset=_mirrored(_grid(tensors, "kp_refine_offset"), same, one_minus=x_only),
     )
 
 
@@ -168,6 +181,26 @@ def _blockwise_sum(terms, dtype) -> np.ndarray:
     return out
 
 
+def _sparse_sum(terms) -> _SparseGrid:
+    """_weighted_sum of (`_SparseGrid`, share) terms over the union of their listed cells.
+
+    Every term is summed at every union cell, +0.0 where it lists none, so
+    each cell gets the same float64 sum, signed zeros and NaN included, as
+    the dense average. Cells whose float32 sum is +0.0 are dropped.
+    """
+    flat = np.concatenate([grid.indices.astype(np.int64) for grid, _ in terms])
+    flat.sort(kind="stable")
+    union = flat[np.diff(flat, prepend=-1) != 0]
+    columns = []
+    for grid, share in terms:
+        column = np.zeros(union.size, dtype=np.float32)
+        column[np.searchsorted(union, grid.indices)] = grid.values
+        columns.append((column, share))
+    values = _weighted_sum(columns, np.float32)
+    kept = values.view(np.uint32) != 0
+    return _SparseGrid(terms[0][0].shape, union[kept], values[kept])
+
+
 def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None = None) -> HeadTensorSet:
     """Per-element weighted average of aligned tensor sets.
 
@@ -177,10 +210,14 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
     exactly). Each value is the float64 weighted sum cast back to the first
     input's dtype.
 
-    The heatmaps (center, kp_heatmap) are averaged here, into new arrays.
-    The four regression tensors come back lazy: each value is averaged from
-    the inputs only at the cells that are indexed, and `np.asarray` gives
-    the whole fused tensor. Inputs may themselves be lazy.
+    The heatmaps (center, kp_heatmap) are averaged here. When every input
+    that carries weight holds a heatmap as a float32 `_SparseGrid`, the
+    average is one over the union of their listed cells, with the same
+    values; otherwise the inputs are made dense and averaged into a new
+    array. The four regression tensors come back lazy: each value is
+    averaged from the inputs only at the cells that are indexed, and
+    `np.asarray` gives the whole fused tensor. Inputs may themselves be
+    lazy.
     """
     if not tensor_sets:
         raise ValueError("need at least one tensor set")
@@ -196,21 +233,24 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
         raise ValueError("weights must not all be zero")
 
     first = tensor_sets[0]
-    shapes = {name: grid.shape for name, grid in first.named().items()}
+    shapes = {name: _grid(first, name).shape for name in TENSOR_NAMES}
     for ts in tensor_sets[1:]:
         if ts.stride != first.stride:
             raise ValueError(f"stride mismatch: {ts.stride} vs {first.stride}")
-        for name, grid in ts.named().items():
-            if grid.shape != shapes[name]:
-                raise ValueError(f"{name}: shape {grid.shape} does not match {shapes[name]}")
+        for name in TENSOR_NAMES:
+            shape = _grid(ts, name).shape
+            if shape != shapes[name]:
+                raise ValueError(f"{name}: shape {shape} does not match {shapes[name]}")
 
     live = [(ts, w / total) for ts, w in zip(tensor_sets, weights) if w != 0]
 
     def fused(name: str):
-        grids = [(getattr(ts, name), share) for ts, share in live]
-        dtype = getattr(first, name).dtype
+        grids = [(_grid(ts, name), share) for ts, share in live]
+        dtype = _grid(first, name).dtype
         if name in HEATMAP_NAMES:
-            return _blockwise_sum(grids, dtype)
+            if dtype == np.float32 and all(isinstance(grid, _SparseGrid) for grid, _ in grids):
+                return _sparse_sum(grids)
+            return _blockwise_sum([(np.asarray(grid), share) for grid, share in grids], dtype)
 
         def gather(c, r, x):
             return _weighted_sum(((_take(grid, c, r, x), share) for grid, share in grids), dtype)
@@ -220,7 +260,7 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
 
         return _LazyGrid(shapes[name], dtype, gather, whole)
 
-    return HeadTensorSet(stride=first.stride, **{name: fused(name) for name in shapes})
+    return HeadTensorSet(stride=first.stride, **{name: fused(name) for name in TENSOR_NAMES})
 
 
 def rescale_detections(detections: list[Detection], scale: float) -> list[Detection]:
@@ -259,15 +299,17 @@ def infer(
     image resized by scale, and the one computed on its horizontal mirror at
     that scale, or None. Per view the mirrored set is unflipped and averaged
     with the plain one, the result decoded once and mapped back to original
-    pixels; fuse_multiscale then merges the scales. Views are taken one at a
-    time, so a generator of views reads one scale's containers at a time.
+    pixels; fuse_multiscale then merges the scales. Both sets of a mirrored
+    view are validated before fusing. Views are taken one at a time, so a
+    generator of views reads one scale's containers at a time.
     """
     per_scale = []
     for scale, tensors, mirrored in views:
         if mirrored is not None:
-            # Shapes first: flipping and fusing read every heatmap value a set declares.
-            require_shapes(tensors, table)
-            require_shapes(mirrored, table)
+            # Each view as decode would check it alone: the average could
+            # bring a bad value back into range.
+            require_valid(tensors, table)
+            require_valid(mirrored, table)
             # The fused regression tensors keep both views' arrays alive until
             # decode has read them at its peak and candidate cells.
             mirrored = flip_tensors(mirrored, table)

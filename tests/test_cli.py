@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clothdet import dump_category_table, new_head_tensors, read_tensors, write_tensors
+from clothdet import HeadTensorSet, dump_category_table, new_head_tensors, read_tensors, write_tensors
 from clothdet.cli import main
 
 
@@ -118,14 +118,14 @@ class TestEncodeDecode:
 
     @staticmethod
     def _seed7_container(tmp_path):
-        """One clean container of `clothdet synth --seed 7`, and the cell of its highest center peak."""
+        """One clean container of `clothdet synth --seed 7` as writable arrays, and the cell of its highest center peak."""
         scenes = tmp_path / "scenes.json"
         assert main(["synth", "--out", str(scenes), "--images", "1", "--width", "256", "--height", "256",
                      "--seed", "7"]) == 0
         tensors = tmp_path / "tensors"
         assert main(["encode", "--scenes", str(scenes), "--out-dir", str(tensors)]) == 0
         (path,) = tensors.glob("*.dmrk")
-        container = read_tensors(path)
+        container = HeadTensorSet(stride=4, **{name: np.array(grid) for name, grid in read_tensors(path).named().items()})
         peak = np.unravel_index(int(np.argmax(container.center)), container.center.shape)
         return path, container, tuple(int(v) for v in peak)
 
@@ -151,6 +151,30 @@ class TestEncodeDecode:
         assert f"center: value 1.5 outside [0, 1] at channel {channel}, cell ({row}, {col})" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("view", ["", "@flip"])
+    @pytest.mark.parametrize("value,message", [
+        (1.5, "center: value 1.5 outside [0, 1] at channel 0, cell (0, 5)"),
+        (np.nan, "center: non-finite value at channel 0, cell (0, 5)"),
+    ])
+    def test_decode_flip_rejects_bad_heatmap_value_in_either_view(self, tmp_path, capsys, view, value, message):
+        scenes, tensors = tmp_path / "scenes.json", tmp_path / "tensors"
+        assert main(["synth", "--out", str(scenes), "--images", "1", "--width", "256", "--height", "256",
+                     "--seed", "3"]) == 0
+        assert main(["encode", "--scenes", str(scenes), "--out-dir", str(tensors), "--flip"]) == 0
+        (path,) = tensors.glob(f"*[0-9]{view}.dmrk")
+        container = read_tensors(path)
+        center = np.array(container.center)
+        center[0, 0, 5] = value
+        write_tensors(path, replace(container, center=center))
+        for flip in ([], ["--flip"]):
+            out = tmp_path / f"dets{len(flip)}.json"
+            # The plain view alone is rejected without --flip; the mirrored one is read only with it.
+            expected = 2 if flip or not view else 0
+            assert main(["decode", "--tensors", str(tensors), "--out", str(out), *flip]) == expected
+            if expected == 2:
+                assert f"error: {message}" in capsys.readouterr().err
+                assert not out.exists()
+
     def test_decode_empty_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -164,7 +188,7 @@ class TestFuse:
         out = tmp_path / "fused.dmrk"
         assert main(["fuse", "--inputs", str(src[0]), str(src[1]), "--out", str(out)]) == 0
         a, b, fused = read_tensors(src[0]), read_tensors(src[1]), read_tensors(out)
-        expect = (a.center.astype(np.float64) + b.center.astype(np.float64)) / 2
+        expect = (np.asarray(a.center).astype(np.float64) + np.asarray(b.center).astype(np.float64)) / 2
         np.testing.assert_array_equal(fused.center, expect.astype(np.float32))
 
     def test_zero_weight_matches_first_input(self, workspace, tmp_path):
