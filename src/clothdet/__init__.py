@@ -6,7 +6,7 @@ categories, fuses flipped and rescaled views, and scores results with
 COCO-style AP over box IoU and landmark OKS.
 """
 
-from .bench import BenchReport, StageStats, StrategyReport, StrategyResult, bench_decode, compare_strategies
+from .bench import StrategyReport, StrategyResult, compare_strategies
 from .categories import (
     DEFAULT_SIGMA,
     NUM_CATEGORIES,
@@ -93,7 +93,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # bench
-    "BenchReport", "StageStats", "StrategyReport", "StrategyResult", "bench_decode", "compare_strategies",
+    "StrategyReport", "StrategyResult", "compare_strategies",
     # categories
     "DEFAULT_SIGMA", "NUM_CATEGORIES", "TOTAL_KEYPOINTS", "CategoryConfigError", "CategorySpec",
     "CategoryTable", "default_table", "dump_category_table", "global_keypoint_index", "load_category_table",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -45,6 +46,22 @@ class CategoryTable:
     specs: tuple[CategorySpec, ...]
     flip_pairs: tuple[tuple[int, int], ...]
     sigmas: np.ndarray
+
+    @cached_property
+    def flip_perm(self) -> np.ndarray:
+        """Read-only (294,) map of each global keypoint index to its flip partner.
+
+        An unpaired index maps to itself. Pairs are disjoint and lie inside
+        one category slice (load_category_table checks both), so the map is
+        an involution that keeps every slice in place. Built once per table.
+        """
+        perm = np.arange(TOTAL_KEYPOINTS)
+        if self.flip_pairs:
+            a, b = np.array(self.flip_pairs).T
+            perm[a] = b
+            perm[b] = a
+        perm.setflags(write=False)
+        return perm
 
     def spec(self, category_id: int) -> CategorySpec:
         if not 1 <= category_id <= len(self.specs):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchReport, StrategyReport, bench_decode, compare_strategies
+from .bench import StrategyReport, compare_strategies
 from .categories import CategoryTable, default_table, load_category_table
 from .charts import line_chart, scatter_chart
 from .decode import DecodeConfig, decode_scene
@@ -37,7 +37,7 @@ from .metrics import (
 # nms and rescale_detections are not called here. They stay importable from
 # this module because perfbench/workloads.py times the decode command by
 # wrapping these names in it.
-from .postprocess import FusionConfig, flip_tensors, fuse_tensors, infer, nms, rescale_detections  # noqa: F401
+from .postprocess import flip_tensors, fuse_tensors, infer, nms, rescale_detections  # noqa: F401
 from .scene import Detection, Scene, mirror_scene, scale_scene
 from .synth import NoiseParams, SynthParams, synth_scenes
 
@@ -256,24 +256,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    table = _load_table(args)
-    params = SynthParams(seed=args.seed, num_images=args.images, image_width=args.width, image_height=args.height)
-    tensor_sets = [encode_scene(s, table) for s in synth_scenes(params, table)]
-    config = DecodeConfig(top_k=args.topk, min_center_score=args.min_score)
-    fusion = FusionConfig(flip_enabled=True)
-    report = bench_decode(
-        tensor_sets, table, config,
-        iterations=args.iterations, warmup=args.warmup, threads=args.workers, fusion=fusion,
-    )
-    _print_table(report.rows())
-    print(f"images {report.images}  threads {report.threads}  iterations {report.iterations}")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(report.rows())
-    return 0
-
-
 def _cmd_roundtrip(args) -> int:
     table = _load_table(args)
     params = SynthParams(
@@ -407,19 +389,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out-csv")
     p.add_argument("--plot", help="directory for PR curve CSV and SVG")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench", help="time decode and post-processing stages")
-    common(p)
-    p.add_argument("--images", type=int, default=4)
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--topk", type=int, default=100)
-    p.add_argument("--min-score", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("roundtrip", help="synth, encode, decode, evaluate in one go")
     common(p)

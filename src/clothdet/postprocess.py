@@ -17,12 +17,13 @@ map coordinates back to original pixels, then merge the lists under NMS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .categories import TOTAL_KEYPOINTS, CategoryTable
+from .categories import CategoryTable
 from .decode import DecodeConfig, decode_scene
 from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _grid, _LazyGrid, _SparseGrid, _take, require_valid
 from .scene import Detection
@@ -35,14 +36,16 @@ _BLOCK_VALUES = 32768
 @dataclass(frozen=True)
 class FusionConfig:
     nms_iou_threshold: float = 0.5
-    flip_enabled: bool = False
     scales: tuple[float, ...] = DEFAULT_SCALES
 
     def __post_init__(self):
         if not 0 < self.nms_iou_threshold < 1:
             raise ValueError(f"nms_iou_threshold must be in (0, 1), got {self.nms_iou_threshold}")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError(f"scales must be positive, got {self.scales}")
+        if not self.scales:
+            raise ValueError(f"scales must list at least one scale, got {self.scales!r}")
+        for scale in self.scales:
+            if not (math.isfinite(scale) and scale > 0):
+                raise ValueError(f"scales must be positive and finite, got {scale:g} in {self.scales!r}")
 
 
 def iou(a, b) -> float:
@@ -136,9 +139,7 @@ def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     from the input and transformed only at the cells that are indexed, and
     `np.asarray` gives the whole flipped tensor.
     """
-    kp_perm = np.arange(TOTAL_KEYPOINTS)
-    for a, b in table.flip_pairs:
-        kp_perm[[a, b]] = kp_perm[[b, a]]
+    kp_perm = table.flip_perm
     offset_perm = np.stack([2 * kp_perm, 2 * kp_perm + 1], axis=1).reshape(-1)
     same = np.arange(2)
     x_only = np.array([True, False])

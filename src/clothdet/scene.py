@@ -148,13 +148,9 @@ def mirror_scene(scene: Scene, table: CategoryTable) -> Scene:
     for item in scene.items:
         x1, y1, x2, y2 = item.box
         box = np.array([scene.width - x2, y1, scene.width - x1, y2])
-        lm = item.landmarks.copy()
-        lm[:, 0] = scene.width - lm[:, 0]
         offset = table.spec(item.category_id).global_offset
-        count = lm.shape[0]
-        for a, b in table.flip_pairs:
-            la, lb = a - offset, b - offset
-            if 0 <= la < count and 0 <= lb < count:
-                lm[[la, lb]] = lm[[lb, la]]
+        count = item.landmarks.shape[0]
+        lm = item.landmarks[table.flip_perm[offset : offset + count] - offset]
+        lm[:, 0] = scene.width - lm[:, 0]
         items.append(GroundTruthItem(item.category_id, box, lm))
     return replace(scene, items=tuple(items))

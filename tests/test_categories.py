@@ -94,6 +94,34 @@ def test_flip_pair_reuse_rejected():
         load_category_table(json.dumps(config_doc(flip_pairs=[[0, 5], [5, 6]])))
 
 
+def loop_flip_perm(table):
+    """Reference permutation: one swap per flip pair, in table order."""
+    perm = np.arange(TOTAL_KEYPOINTS)
+    for a, b in table.flip_pairs:
+        perm[[a, b]] = perm[[b, a]]
+    return perm
+
+
+@pytest.fixture(scope="module")
+def mirrored_slices_table():
+    """Every category's landmarks paired end to end (i with count-1-i), larger index first."""
+    pairs, offset = [], 0
+    for count in DEFAULT_COUNTS:
+        pairs += [[offset + count - 1 - i, offset + i] for i in range(count // 2)]
+        offset += count
+    return load_category_table(json.dumps(config_doc(flip_pairs=pairs)))
+
+
+@pytest.mark.parametrize("fixture", ["table", "paired_table", "mirrored_slices_table"])
+def test_flip_perm_matches_pairwise_swaps(fixture, request):
+    table = request.getfixturevalue(fixture)
+    perm, want = table.flip_perm, loop_flip_perm(table)
+    assert perm.dtype == want.dtype and np.array_equal(perm, want)
+    assert np.array_equal(perm[perm], np.arange(TOTAL_KEYPOINTS))
+    assert table.flip_perm is perm
+    assert not perm.flags.writeable
+
+
 def test_duplicate_category_id_rejected():
     doc = config_doc()
     doc["categories"][1]["id"] = 1

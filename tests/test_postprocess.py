@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from clothdet import (
     Detection,
     DecodeConfig,
+    FusionConfig,
     HeadTensorSet,
     SynthParams,
     TensorValidationError,
@@ -70,6 +71,20 @@ class TestIou:
     def test_symmetry(self):
         a, b = [0, 0, 4, 6], [2, 1, 7, 5]
         assert iou(a, b) == iou(b, a)
+
+
+class TestFusionConfig:
+    @pytest.mark.parametrize("scales, message", [
+        ((), "scales must list at least one scale, got ()"),
+        ((float("nan"),), "scales must be positive and finite, got nan in (nan,)"),
+        ((1.0, float("inf")), "scales must be positive and finite, got inf in (1.0, inf)"),
+        ((1.0, -0.5), "scales must be positive and finite, got -0.5 in (1.0, -0.5)"),
+        ((0.0,), "scales must be positive and finite, got 0 in (0.0,)"),
+    ])
+    def test_bad_scales_rejected(self, scales, message):
+        with pytest.raises(ValueError) as exc:
+            FusionConfig(scales=scales)
+        assert str(exc.value) == message
 
 
 class TestNms:
