@@ -234,15 +234,25 @@ def _write_pr_outputs(report: MetricReport, plot_dir: Path, mode: str | None) ->
     (plot_dir / "pr_curves.svg").write_text(svg, "utf-8")
 
 
+def _read_sigmas(path) -> np.ndarray:
+    """The --sigmas file's list of numbers as float64; evaluate checks its length and values."""
+    try:
+        raw = json.loads(Path(path).read_text("utf-8"))
+        # json.loads yields exact int and float objects for numbers.
+        if isinstance(raw, list) and set(map(type, raw)) <= {int, float}:
+            return np.array(raw, dtype=np.float64)
+    # ValueError: not JSON; OverflowError: an integer beyond float range.
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"--sigmas {path}: sigmas must be a JSON list of numbers")
+
+
 def _cmd_eval(args) -> int:
     table = _load_table(args)
     scenes = read_scenes(args.scenes, table)
     detections = read_detections(args.detections)
     mode = _MODES[args.mode] if args.mode else None
-    sigmas = None
-    if args.sigmas:
-        raw = json.loads(Path(args.sigmas).read_text("utf-8"))
-        sigmas = np.asarray(raw, dtype=np.float64)
+    sigmas = _read_sigmas(args.sigmas) if args.sigmas else None
     config = EvalConfig(visibility_mode=mode, max_detections_per_image=args.maxdets, sigmas=sigmas)
     report = evaluate(detections, scenes, table, config)
     _print_report(report, mode)

@@ -42,6 +42,7 @@ import json
 import logging
 import struct
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,9 @@ def _require(doc: dict, key: str, where: str):
 
 
 _NUMBER_TYPES = {int, float}
+_IMAGE_KEYS = frozenset(("image_id", "width", "height", "items"))
+_ITEM_KEYS = frozenset(("category_id", "bbox", "landmarks"))
+_DETECTION_KEYS = frozenset(("image_id", "category_id", "score", "bbox"))
 
 
 def _number_list(values, where: str, multiple_of: int) -> np.ndarray:
@@ -336,25 +340,99 @@ def _parse_item(raw: dict, where: str) -> GroundTruthItem:
     return GroundTruthItem(category_id=category, box=bbox, landmarks=landmarks)
 
 
-def read_scenes(path, table: CategoryTable) -> list[Scene]:
-    """Read and validate annotation JSON; clamps coordinates to image bounds.
+def _numbers(lists: list[list], width: int) -> np.ndarray | None:
+    """The numbers of `lists` as one float64 array of rows of `width`; None unless all are finite JSON numbers.
 
-    Raises:
-        FormatError: malformed JSON or schema, naming the first bad field,
-            and items that do not match the category table.
+    Each list's length is a multiple of `width`.
     """
+    if not set(map(type, chain.from_iterable(lists))) <= _NUMBER_TYPES:
+        return None
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    # ValueError, not only JSONDecodeError: bytes that are not UTF-8 and
-    # integers of more than 4300 digits raise other ValueErrors.
-    except ValueError as exc:
-        raise FormatError(f"annotation file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("images"), list):
-        raise FormatError("annotation document must be an object with an 'images' list")
+        array = np.fromiter(chain.from_iterable(lists), dtype=np.float64, count=sum(map(len, lists)))
+    except OverflowError:
+        return None
+    return array.reshape(-1, width) if np.isfinite(array).all() else None
 
+
+def _scenes_at_once(images: list, table: CategoryTable) -> tuple[list[Scene], int] | None:
+    """read_scenes' scenes and clamp count, checked and clamped as arrays; None on any fault.
+
+    One Python pass checks the structure and gathers the bbox and landmark
+    lists; every box and every landmark is then converted, checked, clamped
+    and validated in one array of each, with the results of clamp_scene and
+    validate_scene, and each item gets views of its rows.
+    """
+    heads = []
+    categories = []
+    counts = []
+    bboxes = []
+    landmark_lists = []
+    n_categories = len(table.specs)
+    for raw in images:
+        if type(raw) is not dict or not _IMAGE_KEYS <= raw.keys():
+            return None
+        image_id, width, height, items = raw["image_id"], raw["width"], raw["height"], raw["items"]
+        if type(image_id) not in (str, int) or type(items) is not list:
+            return None
+        if not all(type(side) is int and 0 < side < 2**31 for side in (width, height)):
+            return None
+        for item in items:
+            if type(item) is not dict or not _ITEM_KEYS <= item.keys():
+                return None
+            category, bbox, landmarks = item["category_id"], item["bbox"], item["landmarks"]
+            if type(category) is not int or not 1 <= category <= n_categories:
+                return None
+            if type(bbox) is not list or len(bbox) != 4 or type(landmarks) is not list or len(landmarks) % 3:
+                return None
+            categories.append(category)
+            counts.append(len(landmarks) // 3)
+            bboxes.append(bbox)
+            landmark_lists.append(landmarks)
+        heads.append((str(image_id), width, height, len(items)))
+    boxes = _numbers(bboxes, 4)
+    landmarks = _numbers(landmark_lists, 3)
+    if boxes is None or landmarks is None:
+        return None
+    counts = np.array(counts, dtype=np.intp)
+    keypoints = np.array([0] + [spec.keypoint_count for spec in table.specs], dtype=np.intp)
+    if (counts != keypoints[categories]).any():
+        return None
+
+    per_image = [n for *_, n in heads]
+    item_width = np.repeat([width for _, width, _, _ in heads], per_image)
+    item_height = np.repeat([height for _, _, height, _ in heads], per_image)
+    # clamp_scene's np.clip turns a -0.0 box value into +0.0 (array bounds)
+    # and keeps a -0.0 landmark coordinate (scalar bounds); both keep every
+    # other value inside [0, limit].
+    clamped = np.minimum(np.where(boxes > 0, boxes, 0.0), np.column_stack((item_width, item_height) * 2))
+    moved = (clamped != boxes).any(axis=1)
+    if ((clamped[:, 0] > clamped[:, 2]) | (clamped[:, 1] > clamped[:, 3])).any():
+        return None
+    starts = np.cumsum(counts) - counts
+    for column, limit in ((0, item_width), (1, item_height)):
+        values = landmarks[:, column]
+        inside = np.minimum(np.where(values < 0, 0.0, values), np.repeat(limit, counts))
+        if len(starts):
+            moved |= np.logical_or.reduceat(inside != values, starts)
+        landmarks[:, column] = inside
+
+    items = [
+        GroundTruthItem(category, box, landmarks[start : start + count])
+        for category, box, start, count in zip(categories, clamped, starts.tolist(), counts.tolist())
+    ]
+    scenes = []
+    first = 0
+    for image_id, width, height, n in heads:
+        scenes.append(Scene(image_id=image_id, width=width, height=height, items=tuple(items[first : first + n])))
+        first += n
+    return scenes, int(moved.sum())
+
+
+def _scenes_per_object(images: list, table: CategoryTable) -> tuple[list[Scene], int]:
+    """read_scenes' scenes and clamp count, one object at a time, raising the first located error."""
     scenes = []
     clamped_total = 0
-    for i, raw in enumerate(doc["images"]):
+    for i, raw in enumerate(images):
         where = f"images[{i}]"
         if not isinstance(raw, dict):
             raise FormatError(f"{where} is not an object")
@@ -376,6 +454,32 @@ def read_scenes(path, table: CategoryTable) -> list[Scene]:
         except SceneError as exc:
             raise FormatError(f"{where}: {exc}") from None
         scenes.append(scene)
+    return scenes, clamped_total
+
+
+def read_scenes(path, table: CategoryTable) -> list[Scene]:
+    """Read and validate annotation JSON; clamps coordinates to image bounds.
+
+    The document is checked, clamped and validated in whole-document arrays,
+    and its items hold views of one box array and one landmark array; when
+    that finds a fault, the objects are read again one at a time to locate
+    it.
+
+    Raises:
+        FormatError: malformed JSON or schema, naming the first bad field,
+            and items that do not match the category table.
+    """
+    try:
+        doc = json.loads(Path(path).read_text("utf-8"))
+    # ValueError, not only JSONDecodeError: bytes that are not UTF-8 and
+    # integers of more than 4300 digits raise other ValueErrors.
+    except ValueError as exc:
+        raise FormatError(f"annotation file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("images"), list):
+        raise FormatError("annotation document must be an object with an 'images' list")
+
+    read = _scenes_at_once(doc["images"], table)
+    scenes, clamped_total = read if read is not None else _scenes_per_object(doc["images"], table)
     if clamped_total:
         logger.warning("clamped out-of-bounds coordinates on %d items during ingestion", clamped_total)
     return scenes
@@ -403,17 +507,44 @@ def write_scenes(path, scenes: list[Scene]) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), "utf-8")
 
 
-def read_detections(path) -> dict[str, list[Detection]]:
-    """Read detection JSON into per-image lists, preserving file order."""
-    try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"detection file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("detections"), list):
-        raise FormatError("detection document must be an object with a 'detections' list")
+def _detections_at_once(rows: list) -> dict[str, list[Detection]] | None:
+    """read_detections' result from one structural pass and one array of boxes and of landmarks; None on any fault."""
+    heads = []
+    bboxes = []
+    landmark_lists = []
+    for raw in rows:
+        if type(raw) is not dict or not _DETECTION_KEYS <= raw.keys():
+            return None
+        image_id, category, score, bbox = raw["image_id"], raw["category_id"], raw["score"], raw["bbox"]
+        landmarks = raw.get("landmarks", [])
+        if type(image_id) not in (str, int) or type(category) is not int:
+            return None
+        if type(score) not in _NUMBER_TYPES or not 0 <= score <= 1:
+            return None
+        if type(bbox) is not list or len(bbox) != 4 or type(landmarks) is not list or len(landmarks) % 3:
+            return None
+        heads.append((str(image_id), category, float(score), len(landmarks) // 3))
+        bboxes.append(bbox)
+        landmark_lists.append(landmarks)
+    boxes = _numbers(bboxes, 4)
+    landmarks = _numbers(landmark_lists, 3)
+    if boxes is None or landmarks is None:
+        return None
 
     out: dict[str, list[Detection]] = {}
-    for i, raw in enumerate(doc["detections"]):
+    start = 0
+    for (image_id, category, score, count), box in zip(heads, boxes):
+        out.setdefault(image_id, []).append(
+            Detection(category_id=category, score=score, box=box, landmarks=landmarks[start : start + count])
+        )
+        start += count
+    return out
+
+
+def _detections_per_object(rows: list) -> dict[str, list[Detection]]:
+    """read_detections' result, one object at a time, raising the first located error."""
+    out: dict[str, list[Detection]] = {}
+    for i, raw in enumerate(rows):
         where = f"detections[{i}]"
         if not isinstance(raw, dict):
             raise FormatError(f"{where} is not an object")
@@ -430,6 +561,22 @@ def read_detections(path) -> dict[str, list[Detection]]:
             Detection(category_id=category, score=float(score), box=bbox, landmarks=landmarks)
         )
     return out
+
+
+def read_detections(path) -> dict[str, list[Detection]]:
+    """Read detection JSON into per-image lists, preserving file order.
+
+    The numbers are checked in one array; when a check finds a fault, the
+    detections are read again one at a time to locate it.
+    """
+    try:
+        doc = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"detection file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("detections"), list):
+        raise FormatError("detection document must be an object with a 'detections' list")
+    read = _detections_at_once(doc["detections"])
+    return read if read is not None else _detections_per_object(doc["detections"])
 
 
 def write_detections(path, detections_by_image: dict[str, list[Detection]]) -> None:

@@ -12,12 +12,12 @@ only visible landmarks, or visible and occluded ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .categories import CategoryTable
-from .postprocess import iou
 from .scene import Detection, GroundTruthItem, Scene, box_area
 
 VISIBLE_ONLY = "visible_only"
@@ -48,6 +48,55 @@ class EvalConfig:
             raise ValueError("max_detections_per_image must be >= 1")
 
 
+def _counted(visibility: np.ndarray, visibility_mode: str) -> np.ndarray:
+    """The landmarks that OKS counts: visibility 2, or 1 and 2 outside visible_only mode."""
+    return visibility == 2 if visibility_mode == VISIBLE_ONLY else visibility >= 1
+
+
+def _box_areas(boxes: np.ndarray) -> np.ndarray:
+    """scene.box_area of each row of a (P, 4) corner-form box array."""
+    w = boxes[:, 2] - boxes[:, 0]
+    h = boxes[:, 3] - boxes[:, 1]
+    return np.where(w > 0, w, 0.0) * np.where(h > 0, h, 0.0)
+
+
+def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """postprocess.iou of each row pair of two (P, 4) box arrays, in its operation order.
+
+    Python's min and max and the `<=` tests are spelled out so that NaN
+    coordinates give iou's results too.
+    """
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
+    iw = np.where(bx2 < ax2, bx2, ax2) - np.where(bx1 > ax1, bx1, ax1)
+    ih = np.where(by2 < ay2, by2, ay2) - np.where(by1 > ay1, by1, ay1)
+    inter = np.where((iw <= 0) | (ih <= 0), 0.0, iw * ih)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    empty = union <= 0
+    return np.where(empty, 0.0, inter / np.where(empty, 1.0, union))
+
+
+def _oks_rows(pred_xy: np.ndarray, gt_xy: np.ndarray, area: np.ndarray, k: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """OKS of P prediction/GT pairs, one pair per row.
+
+    pred_xy and gt_xy are (P, K, 2) landmark positions, area the (P,) GT box
+    areas, k the (K,) sigmas and counted the (P, K) counted landmarks, at
+    least one per row. Rows with n counted landmarks are averaged as one
+    (rows, n) block: a sum along axis 1 divided by n, which numpy sums
+    pairwise just as it does the 1-D mean of one pair's n scores.
+    """
+    d2 = ((pred_xy - gt_xy) ** 2).sum(axis=2)
+    denom = 2.0 * area[:, None] * k * k
+    safe = np.where(denom > 0, denom, 1.0)
+    scores = np.where(denom > 0, np.exp(-d2 / safe), (d2 == 0).astype(np.float64))
+    sizes = counted.sum(axis=1)
+    out = np.empty(len(sizes))
+    for n in np.flatnonzero(np.bincount(sizes)):
+        rows = sizes == n
+        out[rows] = scores[rows][counted[rows]].reshape(-1, n).sum(axis=1) / n
+    return out
+
+
 def oks(pred_landmarks, gt_item: GroundTruthItem, sigmas, visibility_mode: str) -> float | None:
     """Object keypoint similarity between predicted landmarks and one GT item.
 
@@ -67,38 +116,11 @@ def oks(pred_landmarks, gt_item: GroundTruthItem, sigmas, visibility_mode: str) 
     if k.shape != (gt.shape[0],):
         raise EvaluationError(f"need {gt.shape[0]} sigmas aligned to the landmarks, got shape {k.shape}")
 
-    vis = gt[:, 2]
-    counted = vis == 2 if visibility_mode == VISIBLE_ONLY else vis >= 1
+    counted = _counted(gt[:, 2], visibility_mode)
     if not counted.any():
         return None
-
-    d2 = ((pred[:, :2] - gt[:, :2]) ** 2).sum(axis=1)
-    denom = 2.0 * box_area(gt_item.box) * k * k
-    safe = np.where(denom > 0, denom, 1.0)
-    scores = np.where(denom > 0, np.exp(-d2 / safe), (d2 == 0).astype(np.float64))
-    return float(scores[counted].mean())
-
-
-def _greedy_from_matrix(sim: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Greedy TP flags, shape (thresholds, detections), for detections (rows,
-    already score-descending) at every threshold in one pass.
-
-    At each threshold, each detection takes the unmatched GT (column) of
-    highest similarity at or above the threshold, the lowest GT index on ties.
-    """
-    n_det, n_gt = sim.shape
-    flags = np.zeros((len(thresholds), n_det), dtype=bool)
-    if n_gt == 0:
-        return flags
-    taken = np.zeros((len(thresholds), n_gt), dtype=bool)
-    rows = np.arange(len(thresholds))
-    for d in range(n_det):
-        masked = np.where(taken, -np.inf, sim[d])
-        g = np.argmax(masked, axis=1)
-        hit = masked[rows, g] >= thresholds
-        taken[rows[hit], g[hit]] = True
-        flags[:, d] = hit
-    return flags
+    area = np.array([box_area(gt_item.box)])
+    return float(_oks_rows(pred[None, :, :2], gt[None, :, :2], area, k, counted[None])[0])
 
 
 def _pr_envelope(tp_flags: np.ndarray, n_gt: int) -> tuple[float, np.ndarray]:
@@ -177,6 +199,159 @@ def _block_from_aps(
     )
 
 
+def _stack(items, keypoints: int) -> np.ndarray:
+    """The (n, keypoints, 3) landmarks of items that each hold `keypoints` landmarks."""
+    return np.array([item.landmarks for item in items]).reshape(-1, keypoints, 3)
+
+
+# Pairs scored per array operation, which bounds the temporaries of one
+# similarity batch at a few megabytes however many pairs a category has.
+_PAIR_CHUNK = 4096
+
+
+class _CategoryBatch:
+    """One category's (image, category) buckets as arrays, matched all at once.
+
+    Detections are numbered in bucket order, then by rank (their canonical,
+    score-descending order within the bucket); GT items in bucket order,
+    then item order. The pair lists hold every (detection, GT) pair of a
+    bucket, detection-major. The buckets that hold both are matched
+    together, over a similarity matrix with one row per detection and one
+    column per GT position in its bucket, -inf where the bucket has no such
+    GT. Rows are grouped by rank, and within a rank ordered by descending
+    bucket detection count, so the buckets still matching at rank r are the
+    first `active[r]` buckets of every earlier rank's group.
+    """
+
+    def __init__(self, buckets: list[tuple[list[Detection], list[GroundTruthItem]]], keypoints: int):
+        self.dets = [d for dets, _ in buckets for d in dets]
+        self.gts = [g for _, gts in buckets for g in gts]
+        n_det = np.array([len(dets) for dets, _ in buckets], dtype=np.intp)
+        n_gt = np.array([len(gts) for _, gts in buckets], dtype=np.intp)
+        self.scores = np.array([d.score for d in self.dets], dtype=np.float64)
+        self.det_boxes = np.array([d.box for d in self.dets]).reshape(-1, 4)
+        self.gt_boxes = np.array([g.box for g in self.gts]).reshape(-1, 4)
+
+        det_bucket = np.repeat(np.arange(len(buckets)), n_det)
+        det_rank = np.arange(len(self.dets)) - np.repeat(np.cumsum(n_det) - n_det, n_det)
+        gt_start = np.cumsum(n_gt) - n_gt
+        self.gt_col = np.arange(len(self.gts)) - np.repeat(gt_start, n_gt)
+        per_det = n_gt[det_bucket]
+        self.pair_det = np.repeat(np.arange(len(self.dets)), per_det)
+        self.pair_gt = np.arange(per_det.sum()) + np.repeat(gt_start[det_bucket] - (np.cumsum(per_det) - per_det), per_det)
+
+        matched = np.flatnonzero((n_det > 0) & (n_gt > 0))
+        matched = matched[np.argsort(-n_det[matched], kind="stable")]
+        slot = np.full(len(buckets), -1)
+        slot[matched] = np.arange(len(matched))
+        # active[r]: matched buckets with more than r detections.
+        self.active = np.cumsum(np.bincount(n_det[matched])[::-1])[::-1][1:]
+        self.offset = np.cumsum(self.active) - self.active
+        self.width = int(n_gt[matched].max(initial=0))
+        self.row = np.full(len(self.dets), -1)
+        in_matched = slot[det_bucket] >= 0
+        self.row[in_matched] = self.offset[det_rank[in_matched]] + slot[det_bucket[in_matched]]
+
+        self.keypoints = keypoints
+        self.det_counts = np.array([d.landmarks.shape[0] for d in self.dets], dtype=np.intp)
+        self.gt_counts = np.array([g.landmarks.shape[0] for g in self.gts], dtype=np.intp)
+
+    def matrix(self, similarity: Callable[[np.ndarray, np.ndarray], np.ndarray], pairs: np.ndarray) -> np.ndarray:
+        """The similarity matrix: `similarity(dets, gts)` at the listed pairs, -inf elsewhere."""
+        sim = np.full((int(self.active.sum()), self.width), -np.inf)
+        for lo in range(0, len(pairs), _PAIR_CHUNK):
+            chunk = pairs[lo : lo + _PAIR_CHUNK]
+            dets, gts = self.pair_det[chunk], self.pair_gt[chunk]
+            sim[self.row[dets], self.gt_col[gts]] = similarity(dets, gts)
+        return sim
+
+    def match(self, sim: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Greedy TP flags, shape (thresholds, detections), at every threshold in one pass over rank.
+
+        At each threshold, each detection takes the unmatched GT of its bucket
+        with the highest similarity at or above the threshold, the lowest GT
+        index on ties.
+        """
+        hits = np.zeros((len(thresholds), len(sim)), dtype=bool)
+        taken = np.zeros((len(thresholds), self.active[0] if len(self.active) else 0, self.width), dtype=bool)
+        for lo, n in zip(self.offset, self.active):
+            masked = np.where(taken[:, :n], -np.inf, sim[lo : lo + n])
+            g = masked.argmax(axis=2)
+            hit = np.take_along_axis(masked, g[:, :, None], axis=2)[:, :, 0] >= thresholds[:, None]
+            t, b = np.nonzero(hit)
+            taken[t, b, g[t, b]] = True
+            hits[:, lo : lo + n] = hit
+        flags = np.zeros((len(thresholds), len(self.dets)), dtype=bool)
+        matched = self.row >= 0
+        flags[:, matched] = hits[:, self.row[matched]]
+        return flags
+
+    def box_sim(self) -> np.ndarray:
+        return self.matrix(lambda d, g: _box_iou(self.det_boxes[d], self.gt_boxes[g]), np.arange(len(self.pair_det)))
+
+    def oks_sim(self, k: np.ndarray, visibility_mode: str) -> tuple[np.ndarray, int]:
+        """The OKS matrix in one visibility mode and the number of GT items it scores.
+
+        GT items without a landmark at the mode's minimum visibility are left
+        out (their column stays -inf). So are pairs whose landmark counts
+        differ and GT items with no counted landmark.
+
+        Raises:
+            EvaluationError: a detection and a GT item scored in this mode
+                share a landmark count that differs from the category's.
+        """
+        min_vis = 2 if visibility_mode == VISIBLE_ONLY else 1
+        # The landmarks of the items whose count is the category's, stacked
+        # here and dropped on return, so one category's copy is alive at a time.
+        fits = self.gt_counts == self.keypoints
+        gt_lm = _stack(compress(self.gts, fits), self.keypoints)
+        scored = np.zeros(len(self.gts), dtype=bool)
+        scored[fits] = (gt_lm[:, :, 2] >= min_vis).any(axis=1)
+        for i in np.flatnonzero(~fits):
+            scored[i] = np.any(self.gts[i].landmarks[:, 2] >= min_vis)
+        det_n, gt_n = self.det_counts[self.pair_det], self.gt_counts[self.pair_gt]
+        bad = (det_n == gt_n) & ~fits[self.pair_gt] & scored[self.pair_gt]
+        if bad.any():
+            count = gt_n[np.argmax(bad)]
+            raise EvaluationError(f"need {count} sigmas aligned to the landmarks, got shape {k.shape}")
+
+        counted = _counted(gt_lm[:, :, 2], visibility_mode)
+        defined = np.zeros(len(self.gts), dtype=bool)
+        defined[fits] = counted.any(axis=1)
+        pairs = np.flatnonzero((det_n == self.keypoints) & defined[self.pair_gt] & scored[self.pair_gt])
+        det_fits = self.det_counts == self.keypoints
+        det_xy = _stack(compress(self.dets, det_fits), self.keypoints)[:, :, :2]
+        det_row, gt_row = np.cumsum(det_fits) - 1, np.cumsum(fits) - 1
+        area = _box_areas(self.gt_boxes)
+
+        def similarity(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+            q = gt_row[g]
+            return _oks_rows(det_xy[det_row[d]], gt_lm[q, :, :2], area[g], k, counted[q])
+
+        return self.matrix(similarity, pairs), int(scored.sum())
+
+
+def _checked_sigmas(sigmas, table: CategoryTable) -> np.ndarray:
+    """config.sigmas as float64, or the table's: one finite, non-negative value per table keypoint."""
+    if sigmas is None:
+        return table.sigmas
+    expected = len(table.sigmas)
+    k = np.asarray(sigmas, dtype=np.float64)
+    if k.ndim != 1:
+        raise EvaluationError(f"sigmas must be a flat list of {expected} values, got shape {k.shape}")
+    if len(k) != expected:
+        first = min(len(k), expected)
+        raise EvaluationError(
+            f"sigmas must hold {expected} values, one per keypoint of the table, got {len(k)} "
+            f"(first bad index {first})"
+        )
+    bad = ~(np.isfinite(k) & (k >= 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationError(f"sigmas[{i}] = {k[i]} is not a finite non-negative number (need {expected} of them)")
+    return k
+
+
 def evaluate(
     detections_by_image: Mapping[str, Sequence[Detection]],
     scenes: Sequence[Scene],
@@ -188,9 +363,13 @@ def evaluate(
     Box AP uses IoU similarity; landmark AP uses OKS, computed separately for
     both visibility modes. Results are invariant to image order and to
     detection input order (detections are canonically re-sorted per image).
+    Each (category, metric) pair is scored in array operations over all of
+    the category's (image, category) buckets.
 
     Raises:
-        EvaluationError: when detections reference an unknown image id.
+        EvaluationError: when detections reference an unknown image id, or
+            config.sigmas does not hold one finite, non-negative value per
+            keypoint of the table.
     """
     scenes = sorted(scenes, key=lambda s: s.image_id)
     known = {s.image_id for s in scenes}
@@ -200,7 +379,7 @@ def evaluate(
         if image_id not in known:
             raise EvaluationError(f"detections reference unknown image id {image_id!r}")
 
-    sigmas = table.sigmas if config.sigmas is None else np.asarray(config.sigmas, dtype=np.float64)
+    sigmas = _checked_sigmas(config.sigmas, table)
     categories = [spec.id for spec in table.specs]
     max_det = config.max_detections_per_image
 
@@ -223,34 +402,25 @@ def evaluate(
         for cat, (cat_dets, cat_gts) in per_cat.items():
             if cat in buckets:
                 buckets[cat].append((cat_dets[:max_det], cat_gts))
+    batches = {spec.id: _CategoryBatch(buckets[spec.id], spec.keypoint_count) for spec in table.specs}
 
     def run_metric(
-        gt_filter: Callable[[GroundTruthItem], bool],
-        sim_fn: Callable[[Detection, GroundTruthItem], float],
+        similarity: Callable[[int, _CategoryBatch], tuple[np.ndarray, int]],
         metric_name: str,
         curves_out: list[PRCurve],
     ) -> tuple[dict[int, dict[float, float | None]], dict[int, bool]]:
         aps: dict[int, dict[float, float | None]] = {}
         has_gt: dict[int, bool] = {}
         for cat in categories:
-            n_gt = 0
-            flags = []
-            scores = []
-            for cat_dets, cat_gts in buckets[cat]:
-                gts = [g for g in cat_gts if gt_filter(g)]
-                n_gt += len(gts)
-                matrix = np.array(
-                    [[sim_fn(d, g) for g in gts] for d in cat_dets], dtype=np.float64
-                ).reshape(len(cat_dets), len(gts))
-                flags.append(_greedy_from_matrix(matrix, thresholds))
-                scores.extend(d.score for d in cat_dets)
+            batch = batches[cat]
+            sim, n_gt = similarity(cat, batch)
             has_gt[cat] = n_gt > 0
             if n_gt == 0:
-                aps[cat] = {t: (0.0 if scores else None) for t in config.thresholds}
+                aps[cat] = {t: (0.0 if batch.dets else None) for t in config.thresholds}
                 continue
             aps[cat] = {}
-            order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-            ordered = np.concatenate(flags, axis=1)[:, order]
+            order = np.argsort(-batch.scores, kind="stable")
+            ordered = batch.match(sim, thresholds)[:, order]
             for t, t_flags in zip(config.thresholds, ordered):
                 ap, sampled = _pr_envelope(t_flags, n_gt)
                 aps[cat][t] = ap
@@ -261,31 +431,16 @@ def evaluate(
         return aps, has_gt
 
     curves: list[PRCurve] = []
-
-    def box_sim(det: Detection, gt: GroundTruthItem) -> float:
-        return iou(det.box, gt.box)
-
-    box_aps, box_has_gt = run_metric(lambda g: True, box_sim, "box", curves)
+    box_aps, box_has_gt = run_metric(lambda cat, batch: (batch.box_sim(), len(batch.gts)), "box", curves)
 
     pt_blocks: dict[str, MetricBlock] = {}
     modes = VISIBILITY_MODES if config.visibility_mode is None else (config.visibility_mode,)
     for mode in modes:
-        min_vis = 2 if mode == VISIBLE_ONLY else 1
 
-        def pt_sim(det: Detection, gt: GroundTruthItem, _mode=mode) -> float:
-            if det.landmarks.shape[0] != gt.landmarks.shape[0]:
-                return -np.inf
-            spec = table.spec(gt.category_id)
-            k = sigmas[spec.global_offset : spec.global_offset + spec.keypoint_count]
-            value = oks(det.landmarks, gt, k, _mode)
-            return -np.inf if value is None else value
+        def pt_sim(cat: int, batch: _CategoryBatch, _mode=mode) -> tuple[np.ndarray, int]:
+            return batch.oks_sim(sigmas[table.global_slice(cat)], _mode)
 
-        pt_aps, pt_has_gt = run_metric(
-            lambda g, _mv=min_vis: bool(np.any(g.landmarks[:, 2] >= _mv)),
-            pt_sim,
-            f"pt_{mode}",
-            curves,
-        )
+        pt_aps, pt_has_gt = run_metric(pt_sim, f"pt_{mode}", curves)
         pt_blocks[mode] = _block_from_aps(pt_aps, pt_has_gt, config.thresholds)
 
     return MetricReport(

@@ -7,7 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clothdet import HeadTensorSet, dump_category_table, new_head_tensors, read_tensors, write_tensors
+from clothdet import (
+    HeadTensorSet,
+    default_table,
+    dump_category_table,
+    evaluate,
+    new_head_tensors,
+    read_detections,
+    read_scenes,
+    read_tensors,
+    report_to_dict,
+    write_tensors,
+)
 from clothdet.cli import build_parser, main
 
 
@@ -263,6 +274,39 @@ class TestEval:
         assert main([*base, "--mode", "visible", "--out-json", str(a)]) == 0
         assert main([*base, "--mode", "all", "--out-json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_calls_in_one_process_share_no_values(self, workspace, tmp_path, capsys):
+        # The options of one main call must not become the defaults of the
+        # next, however the parser is built or kept.
+        base = ["eval", "--detections", str(workspace / "dets.json"), "--scenes", str(workspace / "scenes.json")]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main([*base, "--mode", "visible", "--maxdets", "1", "--out-json", str(first)]) == 0
+        assert main([*base, "--out-json", str(second)]) == 0
+        table = default_table()
+        report = evaluate(read_detections(workspace / "dets.json"), read_scenes(workspace / "scenes.json", table), table)
+        assert second.read_text() == json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+        assert set(json.loads(first.read_text())["pt"]) == {"map", "map_50", "map_75", "per_category"}
+        assert main(["eval", "--mode", "nope", *base[1:]]) == 1
+        assert main([*base, "--out-json", str(second)]) == 0
+        assert second.read_text() == json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("content,message", [
+        (json.dumps([0.05] * 10), "sigmas must hold 294 values, one per keypoint of the table, got 10"),
+        (json.dumps([0.05] * 400), "got 400 (first bad index 294)"),
+        (json.dumps([0.05] * 293 + [float("nan")]), "sigmas[293] = nan is not a finite non-negative number"),
+        (json.dumps([0.05] * 100 + [-1] + [0.05] * 193), "sigmas[100] = -1.0 is not a finite non-negative number"),
+        (json.dumps({"sigmas": [0.05] * 294}), "sigmas must be a JSON list of numbers"),
+        (json.dumps([0.05] * 293 + ["0.05"]), "sigmas must be a JSON list of numbers"),
+        ("[" + "9" * 400 + "]", "sigmas must be a JSON list of numbers"),
+        ("[0.05,", "sigmas must be a JSON list of numbers"),
+    ], ids=["short", "long", "nan", "negative", "object", "string", "huge", "not-json"])
+    def test_bad_sigma_file_is_data_error(self, workspace, tmp_path, capsys, content, message):
+        sigmas = tmp_path / "sigmas.json"
+        sigmas.write_text(content)
+        assert main(["eval", "--detections", str(workspace / "dets.json"),
+                     "--scenes", str(workspace / "scenes.json"), "--sigmas", str(sigmas)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_sigma_file(self, workspace, tmp_path, capsys):
         sigmas = tmp_path / "sigmas.json"

@@ -31,6 +31,8 @@ from clothdet import fileio
 from clothdet.cli import main
 from clothdet.heads import TENSOR_NAMES, _SparseGrid
 
+import unbatched_reference
+
 
 def random_tensor_set(seed=0, height=12, width=20, stride=4):
     rng = np.random.default_rng(seed)
@@ -749,3 +751,94 @@ class TestJsonFuzz:
         code, err = eval_exit(work, work / "scenes.json", path)
         assert code == 2 and err.startswith("error: ") if not loaded else code in (0, 2), err
         assert "Traceback" not in err
+
+
+@contextlib.contextmanager
+def reader_warnings():
+    """Messages that clothdet's and the reference copy's readers log inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    loggers = [logging.getLogger(name) for name in ("clothdet.fileio", unbatched_reference.__name__)]
+    for logger in loggers:
+        logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        for logger in loggers:
+            logger.removeHandler(handler)
+
+
+def item_bits(item):
+    """An item or detection's fields, with its arrays as exact bytes."""
+    score = getattr(item, "score", None)
+    return (item.category_id, score, item.box.dtype, item.box.shape, item.box.tobytes(),
+            item.landmarks.dtype, item.landmarks.shape, item.landmarks.tobytes())
+
+
+def scenes_outcome(reader, path, table):
+    """The scenes a reader makes of a file, bit for bit, and its warnings; or its FormatError message."""
+    with reader_warnings() as warnings:
+        try:
+            scenes = reader(path, table)
+        except FormatError as exc:
+            return "error", str(exc)
+    return [(s.image_id, s.width, s.height, [item_bits(i) for i in s.items]) for s in scenes], warnings
+
+
+def detections_outcome(reader, path):
+    """The detections a reader makes of a file, bit for bit; or its FormatError message."""
+    try:
+        out = reader(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return [(image_id, [item_bits(d) for d in dets]) for image_id, dets in out.items()]
+
+
+class TestBatchedReaders:
+    """read_scenes and read_detections against per-object copies of the readers they replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_mutated_scenes_read_as_per_object(self, json_docs, table, data):
+        work, scenes_doc, _ = json_docs
+        path = work / "identity_scenes.json"
+        path.write_text(json.dumps(mutated(scenes_doc, data)))
+        assert scenes_outcome(read_scenes, path, table) == scenes_outcome(unbatched_reference.read_scenes, path, table)
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_mutated_detections_read_as_per_object(self, json_docs, data):
+        work, _, dets_doc = json_docs
+        path = work / "identity_dets.json"
+        path.write_text(json.dumps(mutated(dets_doc, data)))
+        assert detections_outcome(read_detections, path) == detections_outcome(unbatched_reference.read_detections, path)
+
+    def test_first_error_in_document_order(self, tmp_path, table):
+        # Image 0 fails validation (24 landmarks); image 1 misses a key. The
+        # batched pass sees both faults at once, but the error is image 0's.
+        doc = {"images": [
+            {"image_id": "a", "width": 64, "height": 64, "items": [
+                {"category_id": 1, "bbox": [0, 0, 10, 10], "landmarks": [1.0, 2.0, 2.0] * 24}]},
+            {"image_id": "b", "height": 64, "items": []},
+        ]}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"images\[0\]: item 0 of image 'a': category 1 needs 25 landmarks"):
+            read_scenes(path, table)
+
+    def test_clamp_count_signed_zero_and_wide_integers(self, tmp_path, table):
+        lm = [[-0.0, 2**60, 2], [70.5, -3, 1], [5, 5, 0]] + [[1.5, 2.5, 2]] * 22
+        doc = {"images": [
+            {"image_id": "a", "width": 64, "height": 64, "items": [
+                {"category_id": 1, "bbox": [-0.0, 0, 10, 10], "landmarks": sum(lm, [])},
+                {"category_id": 1, "bbox": [-5, 0.5, 2**53 + 1, 10], "landmarks": [1, 2, 2] * 25},
+                {"category_id": 1, "bbox": [1, 1, 2, 2], "landmarks": [1, 1, 2] * 25}]},
+            {"image_id": 7, "width": 32, "height": 16, "items": [
+                {"category_id": 9, "bbox": [0, 0, 40, 40], "landmarks": [31, 15, 1] * 8}]},
+        ]}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        got = scenes_outcome(read_scenes, path, table)
+        assert got == scenes_outcome(unbatched_reference.read_scenes, path, table)
+        assert got[1] == ["clamped out-of-bounds coordinates on 3 items during ingestion"]

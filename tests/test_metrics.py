@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clothdet import (
     Detection,
     EvalConfig,
     GroundTruthItem,
     SynthParams,
+    box_area,
     evaluate,
     iou,
     oks,
     synth_scenes,
 )
-from clothdet.metrics import EvaluationError, report_to_csv_rows, report_to_dict
+from clothdet.metrics import VISIBILITY_MODES, EvaluationError, _box_iou, _CategoryBatch, report_to_csv_rows, report_to_dict
 
+import unbatched_reference
 from bruteforce_eval import evaluate_bruteforce, perturbed_case, report_diffs
 from conftest import make_item, make_scene
 
@@ -400,3 +404,228 @@ class TestSerialization:
             ["mAP_pt@0.50", "0.943423"],
             ["mAP_pt@0.75", "0.224894"],
         ]
+
+
+# Scores drawn from this short list tie often, within and across images.
+TIED_SCORES = (0.25, 0.5, 0.75, 1.0)
+
+
+def identity_case(seed, table):
+    """Scenes, detections and a config that exercise every branch of matching.
+
+    Two or three categories share the images, so buckets collide; one more
+    category draws detections and never has ground truth. GT boxes are
+    sometimes zero-area, visibilities leave anywhere from none to all
+    landmarks counted (and 3, above the scale, now and then), detections
+    copy, jitter or miss their GT, carry a wrong landmark count now and
+    then and often share scores, and some images have no detections. In
+    crowded cases the GT boxes are congruent squares on a 5-pixel grid and
+    some detections sit halfway between two of them, tying in IoU, so the
+    tie rule decides which one they take.
+    """
+    rng = np.random.default_rng(seed)
+    with_gt = [int(c) for c in rng.choice(np.arange(1, 14), size=int(rng.integers(2, 4)), replace=False)]
+    ghost = int(rng.choice([c for c in range(1, 14) if c not in with_gt]))
+    crowded = rng.random() < 0.3
+
+    def landmarks(count, box):
+        out = np.empty((count, 3))
+        out[:, 0] = rng.uniform(min(box[0], box[2]) - 2, max(box[0], box[2]) + 2, count)
+        out[:, 1] = rng.uniform(min(box[1], box[3]) - 2, max(box[1], box[3]) + 2, count)
+        return out
+
+    def random_box(extent):
+        if crowded:
+            x1, y1 = rng.integers(0, 7, 2) * 5.0
+            return np.array([x1, y1, x1 + 20, y1 + 20])
+        x1, y1 = rng.uniform(0, 80, 2)
+        w, h = rng.uniform(*extent, 2)
+        return np.array([x1, y1, x1 + w, y1 + h])
+
+    scenes, dets = [], {}
+    for i in range(int(rng.integers(1, 7))):
+        items = []
+        for _ in range(int(rng.integers(0, 5))):
+            cat = int(rng.choice(with_gt))
+            box = random_box((2, 40))
+            if rng.random() < 0.15:
+                axis = int(rng.integers(2))
+                box[axis + 2] = box[axis]
+            lm = landmarks(table.keypoint_count(cat), box)
+            lm[:, 2] = rng.choice([0, 1, 2], size=len(lm), p=rng.dirichlet(np.ones(3) * 0.7))
+            if rng.random() < 0.05:
+                lm[rng.integers(len(lm)), 2] = 3
+            items.append(GroundTruthItem(cat, box, lm))
+        image_dets = []
+        for _ in range(int(rng.integers(0, 8)) if rng.random() > 0.2 else 0):
+            score = float(rng.choice(TIED_SCORES)) if rng.random() < 0.5 else float(rng.uniform(0.01, 1.0))
+            a, b = (items[int(j)] for j in rng.integers(len(items), size=2)) if items else (None, None)
+            if crowded and a is not None and a.category_id == b.category_id and rng.random() < 0.5:
+                cat, box, lm = a.category_id, (a.box + b.box) / 2, (a.landmarks + b.landmarks) / 2
+            elif a is not None and rng.random() < 0.7:
+                cat, box, lm = a.category_id, a.box.copy(), a.landmarks.copy()
+                if rng.random() < 0.7:
+                    box += rng.normal(0, 2, 4)
+                    lm[:, :2] += rng.normal(0, 1.5, (len(lm), 2)) * (rng.random((len(lm), 1)) < 0.8)
+            else:
+                cat = int(rng.choice(with_gt + [ghost]))
+                box = random_box((1, 40))
+                lm = landmarks(table.keypoint_count(cat), box)
+            if rng.random() < 0.1:
+                lm = landmarks(max(0, len(lm) + int(rng.choice([-1, 1, -len(lm)]))), box)
+            lm[:, 2] = rng.random(len(lm))
+            image_dets.append(Detection(cat, score, box, lm))
+        scenes.append(make_scene(table, items, image_id=f"img-{i}"))
+        if image_dets or rng.random() < 0.5:
+            dets[f"img-{i}"] = image_dets
+
+    sigmas = None
+    if rng.random() < 0.3:
+        sigmas = rng.uniform(0.01, 0.2, 294) * (rng.random(294) > 0.1)
+    config = EvalConfig(
+        thresholds=EvalConfig().thresholds if rng.random() < 0.7 else (0.1, 0.3, 0.5, 0.7),
+        visibility_mode=rng.choice([None, "visible_only", "visible_and_occluded"]),
+        max_detections_per_image=int(rng.choice([1, 2, 3, 100])),
+        sigmas=sigmas,
+    )
+    return scenes, dets, config
+
+
+def case_features(scenes, dets, config, table):
+    """Which of the cases that the identity test must include this case holds."""
+    found = set()
+    with_gt = {item.category_id for scene in scenes for item in scene.items}
+    for scene in scenes:
+        image_dets = dets.get(scene.image_id, [])
+        if not image_dets:
+            found.add("image without detections")
+        scores = [d.score for d in image_dets]
+        if len(set(scores)) < len(scores):
+            found.add("tied scores")
+        for det in image_dets:
+            if det.landmarks.shape[0] != table.keypoint_count(det.category_id):
+                found.add("wrong landmark count")
+            if det.category_id not in with_gt:
+                found.add("GT-less category with detections")
+        for item in scene.items:
+            if box_area(item.box) == 0:
+                found.add("zero-area GT box")
+            same = [d for d in image_dets if d.category_id == item.category_id and len(d.landmarks) == len(item.landmarks)]
+            for mode in ("visible_only", "visible_and_occluded"):
+                counted = int(np.count_nonzero(item.landmarks[:, 2] == 2 if mode == "visible_only" else item.landmarks[:, 2] >= 1))
+                if same and 1 <= counted <= 7:
+                    found.add("pair with 1-7 counted landmarks")
+                if same and counted >= 8:
+                    found.add("pair with 8 or more counted landmarks")
+    if config.max_detections_per_image <= 3:
+        found.add("max detections 1-3")
+    return found
+
+
+def assert_same_report(got, want):
+    assert report_to_dict(got) == report_to_dict(want)
+    assert len(got.curves) == len(want.curves)
+    for a, b in zip(got.curves, want.curves):
+        assert (a.metric, a.category_id, a.threshold) == (b.metric, b.category_id, b.threshold)
+        assert np.array_equal(a.recall, b.recall)
+        assert np.array_equal(a.precision, b.precision)
+
+
+class TestBatchedEvaluatorIdentity:
+    """evaluate and oks against per-pair copies of the evaluator they replaced."""
+
+    def test_cases_cover_every_required_kind(self, table):
+        found = set()
+        for seed in range(40):
+            found |= case_features(*identity_case(seed, table), table)
+        assert found == {
+            "image without detections", "tied scores", "wrong landmark count", "GT-less category with detections",
+            "zero-area GT box", "pair with 1-7 counted landmarks", "pair with 8 or more counted landmarks",
+            "max detections 1-3",
+        }
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_similarities_identical(self, table, seed):
+        # Bit for bit, at every (detection, GT) pair of every bucket: a
+        # last-bit difference seldom moves an AP, so the reports alone would
+        # not show one.
+        scenes, dets, config = identity_case(seed, table)
+        sigmas = table.sigmas if config.sigmas is None else config.sigmas
+        for spec in table.specs:
+            buckets = [([d for d in dets.get(s.image_id, []) if d.category_id == spec.id],
+                        [g for g in s.items if g.category_id == spec.id]) for s in scenes]
+            batch = _CategoryBatch(buckets, spec.keypoint_count)
+            k = sigmas[table.global_slice(spec.id)]
+            matrices = {"box": batch.box_sim(), **{mode: batch.oks_sim(k, mode)[0] for mode in VISIBILITY_MODES}}
+            for d, g in zip(batch.pair_det, batch.pair_gt):
+                det, gt = batch.dets[d], batch.gts[g]
+                want = {"box": iou(det.box, gt.box)}
+                for mode in VISIBILITY_MODES:
+                    min_vis = 2 if mode == "visible_only" else 1
+                    value = None
+                    if det.landmarks.shape[0] == gt.landmarks.shape[0] and np.any(gt.landmarks[:, 2] >= min_vis):
+                        value = unbatched_reference.oks(det.landmarks, gt, k, mode)
+                    want[mode] = -np.inf if value is None else value
+                for name, matrix in matrices.items():
+                    got = matrix[batch.row[d], batch.gt_col[g]]
+                    assert np.float64(got).tobytes() == np.float64(want[name]).tobytes(), (name, d, g)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_reports_and_curves_identical(self, table, seed):
+        scenes, dets, config = identity_case(seed, table)
+        assert_same_report(evaluate(dets, scenes, table, config), unbatched_reference.evaluate(dets, scenes, table, config))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_oracle_cases_identical(self, table, seed):
+        scenes, dets = perturbed_case(seed, table)
+        config = EvalConfig(max_detections_per_image=2)
+        assert_same_report(evaluate(dets, scenes, table, config), unbatched_reference.evaluate(dets, scenes, table, config))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_oks_identical(self, table, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 40))
+        box = np.sort(rng.uniform(0, 50, (2, 2)), axis=0).reshape(4) * (rng.random() > 0.2)
+        gt_lm = np.column_stack((rng.uniform(0, 50, (count, 2)), rng.choice([0, 1, 2, 3], count)))
+        pred = gt_lm[:, :2] + rng.normal(0, 3, (count, 2)) * (rng.random((count, 1)) < 0.7)
+        sigmas = rng.uniform(0, 0.2, count) * (rng.random(count) > 0.2)
+        item = GroundTruthItem(1, box, gt_lm)
+        for mode in ("visible_only", "visible_and_occluded"):
+            got, want = oks(pred, item, sigmas, mode), unbatched_reference.oks(pred, item, sigmas, mode)
+            assert (got is None and want is None) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_box_iou_identical_on_non_finite_and_signed_zero(self):
+        # evaluate accepts Detection objects with any float boxes; NaN, inf
+        # and -0.0 must score as postprocess.iou scores them.
+        rng = np.random.default_rng(0)
+        values = [np.nan, 0.0, -0.0, 1.0, 3.0, -2.0, np.inf, -np.inf]
+        a, b = rng.choice(values, (5000, 4)), rng.choice(values, (5000, 4))
+        with np.errstate(all="ignore"):
+            got = _box_iou(a, b)
+        want = np.array([iou(x, y) for x, y in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSigmas:
+    @pytest.mark.parametrize("sigmas,message", [
+        (np.full(10, 0.05), r"sigmas must hold 294 values, one per keypoint of the table, got 10 \(first bad index 10\)"),
+        (np.full(400, 0.05), r"sigmas must hold 294 values, one per keypoint of the table, got 400 \(first bad index 294\)"),
+        (np.full((2, 147), 0.05), r"sigmas must be a flat list of 294 values, got shape \(2, 147\)"),
+        (np.r_[np.full(7, 0.05), np.nan, np.full(286, 0.05)], r"sigmas\[7\] = nan is not a finite non-negative number \(need 294"),
+        (np.r_[np.full(290, 0.05), -0.1, np.inf, 0.05, 0.05], r"sigmas\[290\] = -0.1 is not a finite non-negative number"),
+        (np.r_[np.full(290, 0.05), np.inf, 0.05, 0.05, 0.05], r"sigmas\[290\] = inf is not"),
+    ], ids=["short", "long", "2-d", "nan", "negative", "inf"])
+    def test_rejected_where_they_enter_evaluate(self, table, sigmas, message):
+        scenes = synth_scenes(SynthParams(seed=3, num_images=2), table)
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(perfect_detections(scenes), scenes, table, EvalConfig(sigmas=sigmas))
+
+    def test_zero_sigmas_match_exactly(self, table):
+        scenes = synth_scenes(SynthParams(seed=3, num_images=2), table)
+        dets = perfect_detections(scenes)
+        assert evaluate(dets, scenes, table, EvalConfig(sigmas=np.zeros(294))).pt["visible_only"].map == 1.0
+        shifted = {k: [Detection(d.category_id, d.score, d.box, d.landmarks + (0.01, 0, 0)) for d in v] for k, v in dets.items()}
+        assert evaluate(shifted, scenes, table, EvalConfig(sigmas=np.zeros(294))).pt["visible_only"].map == 0.0
