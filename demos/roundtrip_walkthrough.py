@@ -29,11 +29,12 @@ for item in scene.items:
 # Encode. Six tensors on a grid 4x smaller than the image.
 tensors = encode_scene(scene, table)
 print(f"\ngrid {tensors.height}x{tensors.width}, stride {tensors.stride}")
+# encode_scene keeps each tensor as its nonzeros; np.asarray gives the array.
 for name, grid in tensors.named().items():
-    print(f"  {name:16s} {str(grid.shape):14s} max {grid.max():.3f}")
+    print(f"  {name:16s} {str(grid.shape):14s} max {np.asarray(grid).max():.3f}")
 
 # Every object contributes one exact 1.0 peak on its category channel.
-peak_count = int((tensors.center == 1.0).sum())
+peak_count = int((np.asarray(tensors.center) == 1.0).sum())
 print(f"\nunit peaks on the center heatmap: {peak_count}")
 
 # Decode and line the detections up against the ground truth.

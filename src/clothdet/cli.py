@@ -72,6 +72,14 @@ def _view_name(image_id: str, scale: float, flipped: bool) -> str:
     return name + ".dmrk"
 
 
+def _require_view_names(scenes: list[Scene]) -> None:
+    """Reject ids that would write views outside the output directory, or that decode reads as view tags."""
+    for i, scene in enumerate(scenes):
+        if scene.image_id in ("", ".", "..") or any(ch in scene.image_id for ch in "/@\0"):
+            raise ValueError(f"image {i}: image_id {scene.image_id!r} cannot name a view file: an id must not "
+                             "be empty, '.' or '..', or contain '/', '@' or NUL")
+
+
 def _parse_scales(text: str) -> tuple[float, ...]:
     """The scales of a --scales comma list: positive, finite, and each naming its own view files."""
     try:
@@ -117,6 +125,7 @@ def _cmd_synth(args) -> int:
 def _cmd_encode(args) -> int:
     table = _load_table(args)
     scenes = read_scenes(args.scenes, table)
+    _require_view_names(scenes)
     params = EncodeParams(stride=args.stride, min_overlap=args.min_overlap)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

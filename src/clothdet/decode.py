@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import TOTAL_KEYPOINTS, CategoryTable
-from .heads import HeadTensorSet, TensorValidationError, _grid, _SparseGrid, _take, require_valid
+from .heads import HeadTensorSet, TensorValidationError, _heatmap_issue, _SparseGrid, _take, require_valid
 from .scene import Detection
 
 # Neighbor offsets that precede a cell in row-major order require a strict
@@ -209,9 +209,9 @@ def _require_finite(values: np.ndarray, name: str, channel, row, col) -> None:
 
 def extract_keypoint_candidates(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> KeypointCandidates:
     """Peaks of every keypoint heatmap channel, refined by the offset channels."""
-    chan, row, col, score = _peak_arrays(_grid(tensors, "kp_heatmap"), config.min_kp_candidate_score)
+    chan, row, col, score = _peak_arrays(tensors.kp_heatmap, config.min_kp_candidate_score)
     channel = np.arange(2)[:, None]
-    refine = _take(_grid(tensors, "kp_refine_offset"), channel, row, col).astype(np.float64)
+    refine = _take(tensors.kp_refine_offset, channel, row, col).astype(np.float64)
     _require_finite(refine, "kp_refine_offset", channel, row, col)
     x = col + refine[0]
     y = row + refine[1]
@@ -237,7 +237,7 @@ def _coarse_keypoints(
     keypoint = offsets[chan][owner] + np.arange(owner.size) - first[owner]
     channel = 2 * keypoint[:, None] + np.arange(2)
     row, col = rows[owner, None], cols[owner, None]
-    block = _take(_grid(tensors, "kp_offset"), channel, row, col).astype(np.float64)
+    block = _take(tensors.kp_offset, channel, row, col).astype(np.float64)
     _require_finite(block, "kp_offset", channel, row, col)
     return block + np.concatenate((col, row), axis=1), owner, keypoint
 
@@ -307,8 +307,8 @@ def _peak_cells(peaks: list[Peak]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Box regression at the peak cells: (n, 4) pixel boxes, computed in cells then scaled."""
     channel = np.arange(2)[:, None]
-    offset = _take(_grid(tensors, "center_offset"), channel, rows, cols).astype(np.float64)
-    size = _take(_grid(tensors, "wh"), channel, rows, cols).astype(np.float64)
+    offset = _take(tensors.center_offset, channel, rows, cols).astype(np.float64)
+    size = _take(tensors.wh, channel, rows, cols).astype(np.float64)
     _require_finite(offset, "center_offset", channel, rows, cols)
     _require_finite(size, "wh", channel, rows, cols)
     cx = cols + offset[0]
@@ -322,8 +322,16 @@ def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.nda
 
 
 def decode_detections(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> list[Detection]:
-    """Box-only decoding: center peaks to scored category boxes in pixels."""
-    peaks = extract_peaks(_grid(tensors, "center"), config.top_k, config.min_center_score)
+    """Box-only decoding: center peaks to scored category boxes in pixels.
+
+    Raises:
+        TensorValidationError: for the center values that decode_scene
+            rejects, or a non-finite regression value read at a peak.
+    """
+    issue = _heatmap_issue("center", tensors.center)
+    if issue is not None:
+        raise TensorValidationError([issue])
+    peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
     _, rows, cols = _peak_cells(peaks)
     boxes = _boxes(tensors, rows, cols)
     return [
@@ -352,7 +360,7 @@ def decode_scene(
             value read at a peak or candidate cell is not finite.
     """
     require_valid(tensors, table)
-    peaks = extract_peaks(_grid(tensors, "center"), config.top_k, config.min_center_score)
+    peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
     chan, rows, cols = _peak_cells(peaks)
     boxes = _boxes(tensors, rows, cols)
     cands = extract_keypoint_candidates(tensors, config)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import CategoryTable
-from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _channel_counts, _SparseGrid, _SparseTensorSet
+from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _channel_counts, _SparseGrid
 from .scene import Scene, validate_scene
 
 logger = logging.getLogger(__name__)
@@ -177,10 +177,10 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
     fractional landmark offsets keep the first writer's values. Both are
     logged. Overlapping peaks keep the larger value at each cell.
 
-    Only the nonzeros are rendered. The set returned holds them until a
-    tensor is read as an attribute, which turns that tensor into an
-    ordinary writable float32 array. Until then decode, flip_tensors,
-    fuse_tensors and write_tensors read the nonzeros alone.
+    Only the nonzeros are rendered: every tensor of the set returned is a
+    read-only `heads._SparseGrid`, as read_tensors returns a sparse block.
+    Decode, flip_tensors, fuse_tensors and write_tensors read the nonzeros
+    alone; `np.asarray` gives a tensor as a new writable float32 array.
     """
     validate_scene(scene, table)
     stride = params.stride
@@ -258,5 +258,5 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
             grids[name] = _SparseGrid(shapes[name], *_last_written(indices, values))
         else:
             grids[name] = _SparseGrid(shapes[name], *_refine_offsets(scene.image_id, plane, indices, values))
-    return _SparseTensorSet(stride, grids)
+    return HeadTensorSet(stride=stride, **grids)
 

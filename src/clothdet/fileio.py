@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .categories import CategoryTable
-from .heads import TENSOR_NAMES, HeadTensorSet, _grid, _SparseGrid
+from .heads import TENSOR_NAMES, HeadTensorSet, _SparseGrid
 from .scene import Detection, GroundTruthItem, Scene, SceneError, clamp_scene, validate_scene
 
 logger = logging.getLogger(__name__)
@@ -104,12 +104,11 @@ def write_tensors(path, tensors: HeadTensorSet) -> None:
     """Serialize a head tensor set to a DMRK container file.
 
     Each tensor is written in the smaller of the two encodings. A tensor
-    held as its nonzeros (a `heads._SparseGrid`: a sparse block that
-    read_tensors read, a heatmap that flip_tensors or fuse_tensors made
-    from such grids, or a tensor of an encode_scene set that no caller has
-    read) is written from them, with no dense scan; every other tensor,
-    dense arrays and the lazy regression grids of flip_tensors and
-    fuse_tensors, is scanned whole.
+    held as its nonzeros (a `heads._SparseGrid`: a tensor of an
+    encode_scene set, a sparse block that read_tensors read, or a heatmap
+    that flip_tensors or fuse_tensors made from such grids) is written from
+    them, with no dense scan; every other tensor, dense arrays and the lazy
+    regression grids of flip_tensors and fuse_tensors, is scanned whole.
 
     Zero bytes pad the payload so that every block starts at a file offset
     that is a multiple of BLOCK_ALIGN, which keeps the dense views that
@@ -123,7 +122,7 @@ def write_tensors(path, tensors: HeadTensorSet) -> None:
     blocks = []
     offset = 0
     for name, encoded in zip(TENSOR_NAMES, names):
-        grid = _grid(tensors, name)
+        grid = getattr(tensors, name)
         if isinstance(grid, _SparseGrid):
             channels, height, width = grid.shape
             encoding, parts = _nonzero_block(channels * height * width, grid.indices, grid.values)

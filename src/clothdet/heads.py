@@ -10,16 +10,17 @@ Layout per tensor, channel-outermost [C][H][W]:
     kp_refine_offset [2]   fractional landmark position (dx, dy) in [0, 1)
 
 A tensor is a dense array or a lazy grid (`_LazyGrid`), which indexes like
-an array and materialises on `np.asarray`. A `_SparseGrid` is the lazy grid
-of a tensor held as its listed cells: (shape, strictly ascending flat
-indices, float32 values), +0.0 elsewhere. read_tensors returns one for every
-sparse block, encode_scene returns a `_SparseTensorSet` that holds one per
-tensor until a caller reads the tensor as an attribute, and flip_tensors
-and fuse_tensors keep heatmaps in that form. Validation, peak search, flip,
-fuse and write_tensors read such a heatmap's listed cells alone, and read
-every tensor of a set through `_grid`, so an unread `_SparseTensorSet`
-tensor is never scattered. The regression tensors of flipped and fused
-sets are lazy grids computed at the cells read.
+an array, reports its `shape`, `dtype` and `nbytes`, and materialises on
+`np.asarray` or `reshape`. A `_SparseGrid` is the lazy grid of a tensor
+held as its listed cells: (shape, strictly ascending flat indices, float32
+values), +0.0 elsewhere. encode_scene returns one for every tensor,
+read_tensors one for every sparse block, and flip_tensors and fuse_tensors
+keep heatmaps in that form. Validation, peak search, flip, fuse and
+write_tensors read such a heatmap's listed cells alone, so a sparse tensor
+is never scattered unless a caller asks for the whole array. The
+regression tensors of flipped and fused sets are lazy grids computed at
+the cells read. Grids are read-only: a caller that edits a tensor takes
+`np.array(tensor)` and puts it in a new set with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class _LazyGrid:
     returns the values at those (channel, row, col) cells as a new array.
     Indexing follows numpy's rules for a dense grid of this shape.
     `whole()` returns the whole grid as a new array, with the same values
-    that gathering every cell would give; `np.asarray` calls it.
+    that gathering every cell would give; `np.asarray` and `reshape` call
+    it.
     """
 
     ndim = 3
@@ -80,6 +82,9 @@ class _LazyGrid:
     def __array__(self, dtype=None, copy=None):
         grid = self.whole()
         return grid if dtype is None else grid.astype(dtype, copy=False)
+
+    def reshape(self, *shape) -> np.ndarray:
+        return self.whole().reshape(*shape)
 
 
 class _SparseGrid(_LazyGrid):
@@ -151,43 +156,6 @@ def new_head_tensors(height: int, width: int, stride: int, num_categories: int =
     )
 
 
-class _SparseTensorSet(HeadTensorSet):
-    """A tensor set held as the nonzeros of each tensor until a caller reads it.
-
-    `grids` maps each name in TENSOR_NAMES to a `_SparseGrid`. The first
-    read of a tensor as an attribute turns it into an ordinary writable
-    float32 array, and from then on that array is the tensor, so writes
-    through it stick. `_grid` reads a tensor without that.
-    """
-
-    def __init__(self, stride: int, grids: dict[str, _SparseGrid]):
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "_grids", grids)
-        object.__setattr__(self, "_arrays", {})
-
-
-def _array_on_read(name: str) -> property:
-    def read(self: _SparseTensorSet) -> np.ndarray:
-        grid = self._arrays.get(name)
-        if grid is None:
-            # setdefault: of two threads reading at once, both get the array kept.
-            grid = self._arrays.setdefault(name, self._grids[name].whole())
-        return grid
-
-    return property(read)
-
-
-for _name in TENSOR_NAMES:
-    setattr(_SparseTensorSet, _name, _array_on_read(_name))
-
-
-def _grid(tensors: HeadTensorSet, name: str):
-    """Tensor `name` of a set for reading: the sparse grid of an unread `_SparseTensorSet` tensor, else the attribute."""
-    if isinstance(tensors, _SparseTensorSet) and name not in tensors._arrays:
-        return tensors._grids[name]
-    return getattr(tensors, name)
-
-
 def _take(grid, c, r, x) -> np.ndarray:
     """Values of a dense or lazy grid at the broadcast (channel, row, col) cells."""
     return grid.gather(c, r, x) if isinstance(grid, _LazyGrid) else grid[c, r, x]
@@ -216,7 +184,7 @@ def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
     expected = _channel_counts(len(table.specs))
     shapes = {}
     for name in TENSOR_NAMES:
-        grid = _grid(tensors, name)
+        grid = getattr(tensors, name)
         if not isinstance(grid, (np.ndarray, _LazyGrid)) or grid.ndim != 3:
             issues.append(f"{name}: expected a 3-d [C][H][W] array")
             continue
@@ -238,43 +206,47 @@ def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
 _ONE_BITS = 0x3F800000
 
 
-def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
-    """Check channel counts, consistent spatial dims, and heatmap values.
+def _heatmap_issue(name: str, grid) -> str | None:
+    """The located issue with heatmap `name`'s values, or None when all are finite and in [0, 1].
 
     Heatmap values must be finite and lie in [0, 1], since decode reports
-    them as scores.
+    them as scores. A float32 heatmap is checked with one max() over its
+    bits read as uint32: +0.0 is 0 and 1.0 is 0x3F800000, every value in
+    (0, 1] lies between, and -0.0, negative values, infinities and NaN all
+    lie above. A heatmap held as a `_SparseGrid` is checked over its listed
+    values alone, since every other value is +0.0. A larger maximum, or
+    another dtype, falls back to a scan that accepts -0.0 and locates the
+    first bad cell for the message. A grid that is not a 3-d array or
+    `_SparseGrid` has no values to check here.
+    """
+    sparse = isinstance(grid, _SparseGrid)
+    if not (sparse or isinstance(grid, np.ndarray) and grid.ndim == 3):
+        return None
+    values = grid.values if sparse else grid
+    if not values.size or values.dtype == np.float32 and values.view(np.uint32).max() <= _ONE_BITS:
+        return None
+    lo, hi = values.min(), values.max()
+    finite = np.isfinite(lo) and np.isfinite(hi)
+    if finite and lo >= 0 and hi <= 1:
+        return None
+    values = values.reshape(-1)
+    i = int(np.argmax((values < 0) | (values > 1) if finite else ~np.isfinite(values)))
+    c, r, col = (int(v) for v in np.unravel_index(int(grid.indices[i]) if sparse else i, grid.shape))
+    if finite:
+        return f"{name}: value {values[i]:g} outside [0, 1] at channel {c}, cell ({r}, {col})"
+    return f"{name}: non-finite value at channel {c}, cell ({r}, {col})"
 
-    A float32 heatmap is checked with one max() over its bits read as
-    uint32: +0.0 is 0 and 1.0 is 0x3F800000, every value in (0, 1] lies
-    between, and -0.0, negative values, infinities and NaN all lie above.
-    A heatmap held as a `_SparseGrid` is checked over its listed values
-    alone, since every other value is +0.0. A larger maximum, or another
-    dtype, falls back to a scan that accepts -0.0 and locates the first bad
-    cell for the message.
+
+def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
+    """Check channel counts, consistent spatial dims, and heatmap values (see _heatmap_issue).
 
     Returns a result listing every issue found (empty issue list means valid).
     """
     issues = _shape_issues(tensors, table)
     for name in HEATMAP_NAMES:
-        grid = _grid(tensors, name)
-        sparse = isinstance(grid, _SparseGrid)
-        if not (sparse or isinstance(grid, np.ndarray) and grid.ndim == 3):
-            continue
-        values = grid.values if sparse else grid
-        if not values.size or values.dtype == np.float32 and values.view(np.uint32).max() <= _ONE_BITS:
-            continue
-        lo, hi = values.min(), values.max()
-        finite = np.isfinite(lo) and np.isfinite(hi)
-        if finite and lo >= 0 and hi <= 1:
-            continue
-        values = values.reshape(-1)
-        i = int(np.argmax((values < 0) | (values > 1) if finite else ~np.isfinite(values)))
-        c, r, col = (int(v) for v in np.unravel_index(int(grid.indices[i]) if sparse else i, grid.shape))
-        if finite:
-            issues.append(f"{name}: value {values[i]:g} outside [0, 1] at channel {c}, cell ({r}, {col})")
-        else:
-            issues.append(f"{name}: non-finite value at channel {c}, cell ({r}, {col})")
-
+        issue = _heatmap_issue(name, getattr(tensors, name))
+        if issue is not None:
+            issues.append(issue)
     return ValidationResult(ok=not issues, issues=tuple(issues))
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .categories import CategoryTable
+from .postprocess import _box_iou
 from .scene import Detection, GroundTruthItem, Scene, box_area
 
 VISIBLE_ONLY = "visible_only"
@@ -58,22 +59,6 @@ def _box_areas(boxes: np.ndarray) -> np.ndarray:
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
     return np.where(w > 0, w, 0.0) * np.where(h > 0, h, 0.0)
-
-
-def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """postprocess.iou of each row pair of two (P, 4) box arrays, in its operation order.
-
-    Python's min and max and the `<=` tests are spelled out so that NaN
-    coordinates give iou's results too.
-    """
-    ax1, ay1, ax2, ay2 = a.T
-    bx1, by1, bx2, by2 = b.T
-    iw = np.where(bx2 < ax2, bx2, ax2) - np.where(bx1 > ax1, bx1, ax1)
-    ih = np.where(by2 < ay2, by2, ay2) - np.where(by1 > ay1, by1, ay1)
-    inter = np.where((iw <= 0) | (ih <= 0), 0.0, iw * ih)
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    empty = union <= 0
-    return np.where(empty, 0.0, inter / np.where(empty, 1.0, union))
 
 
 def _oks_rows(pred_xy: np.ndarray, gt_xy: np.ndarray, area: np.ndarray, k: np.ndarray, counted: np.ndarray) -> np.ndarray:

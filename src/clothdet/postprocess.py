@@ -25,7 +25,7 @@ import numpy as np
 
 from .categories import CategoryTable
 from .decode import DecodeConfig, decode_scene
-from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _grid, _LazyGrid, _SparseGrid, _take, require_valid
+from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _LazyGrid, _SparseGrid, _take, require_valid
 from .scene import Detection
 
 DEFAULT_SCALES = (1.0, 0.75)
@@ -48,20 +48,27 @@ class FusionConfig:
                 raise ValueError(f"scales must be positive and finite, got {scale:g} in {self.scales!r}")
 
 
+def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row pair of two (P, 4) float64 corner-form box arrays, without numpy warnings.
+
+    min, max and the `<=` tests follow Python's builtins and float
+    comparisons, so NaN, inf and -0.0 coordinates score as in scalar code.
+    """
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.where(bx2 < ax2, bx2, ax2) - np.where(bx1 > ax1, bx1, ax1)
+        ih = np.where(by2 < ay2, by2, ay2) - np.where(by1 > ay1, by1, ay1)
+        inter = np.where((iw <= 0) | (ih <= 0), 0.0, iw * ih)
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+        empty = union <= 0
+        return np.where(empty, 0.0, inter / np.where(empty, 1.0, union))
+
+
 def iou(a, b) -> float:
     """Intersection over union of two corner-form boxes; 0 when the union is 0."""
-    ax1, ay1, ax2, ay2 = (float(v) for v in a)
-    bx1, by1, bx2, by2 = (float(v) for v in b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        inter = 0.0
-    else:
-        inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    a, b = (np.asarray(box, dtype=np.float64).reshape(1, 4) for box in (a, b))
+    return float(_box_iou(a, b)[0])
 
 
 def nms(detections: list[Detection], threshold: float) -> list[Detection]:
@@ -71,18 +78,30 @@ def nms(detections: list[Detection], threshold: float) -> list[Detection]:
     detection is kept iff its IoU with every already-kept detection of the
     same category is below the threshold. The returned list is a subsequence
     of the input, original order preserved.
+
+    The IoU of every same-category pair, iou(later, earlier) in decision
+    order, is computed in one array call before the greedy pass.
     """
     if not 0 < threshold < 1:
         raise ValueError(f"nms threshold must be in (0, 1), got {threshold}")
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    kept_boxes: dict[int, list[np.ndarray]] = {}
-    keep = [False] * len(detections)
-    for i in order:
-        det = detections[i]
-        rivals = kept_boxes.setdefault(det.category_id, [])
-        if all(iou(det.box, other) < threshold for other in rivals):
-            keep[i] = True
-            rivals.append(det.box)
+    categories = np.array([detections[i].category_id for i in order], dtype=np.int64)
+    # Decision positions grouped by category, each group in decision order;
+    # every position pairs with those before it in its group.
+    grouped = np.argsort(categories, kind="stable")
+    first = np.searchsorted(categories[grouped], categories[grouped])
+    count = np.arange(len(order)) - first
+    later = grouped[np.repeat(np.arange(len(order)), count)]
+    earlier = grouped[np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)]
+    boxes = np.array([detections[i].box for i in order], dtype=np.float64).reshape(-1, 4)
+    close = ~(_box_iou(boxes[later], boxes[earlier]) < threshold)
+    rivals: list[list[int]] = [[] for _ in order]
+    for p, q in zip(later[close].tolist(), earlier[close].tolist()):
+        rivals[p].append(q)
+    kept: list[bool] = []
+    for p in range(len(order)):
+        kept.append(not any(kept[q] for q in rivals[p]))
+    keep = dict(zip(order, kept))
     return [det for i, det in enumerate(detections) if keep[i]]
 
 
@@ -144,15 +163,14 @@ def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     same = np.arange(2)
     x_only = np.array([True, False])
 
-    center = _grid(tensors, "center")
     return HeadTensorSet(
         stride=tensors.stride,
-        center=_mirrored_heatmap(center, np.arange(center.shape[0])),
-        wh=_mirrored(_grid(tensors, "wh"), same),
-        center_offset=_mirrored(_grid(tensors, "center_offset"), same, one_minus=x_only),
-        kp_offset=_mirrored(_grid(tensors, "kp_offset"), offset_perm, negate=offset_perm % 2 == 0),
-        kp_heatmap=_mirrored_heatmap(_grid(tensors, "kp_heatmap"), kp_perm),
-        kp_refine_offset=_mirrored(_grid(tensors, "kp_refine_offset"), same, one_minus=x_only),
+        center=_mirrored_heatmap(tensors.center, np.arange(tensors.center.shape[0])),
+        wh=_mirrored(tensors.wh, same),
+        center_offset=_mirrored(tensors.center_offset, same, one_minus=x_only),
+        kp_offset=_mirrored(tensors.kp_offset, offset_perm, negate=offset_perm % 2 == 0),
+        kp_heatmap=_mirrored_heatmap(tensors.kp_heatmap, kp_perm),
+        kp_refine_offset=_mirrored(tensors.kp_refine_offset, same, one_minus=x_only),
     )
 
 
@@ -234,20 +252,19 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
         raise ValueError("weights must not all be zero")
 
     first = tensor_sets[0]
-    shapes = {name: _grid(first, name).shape for name in TENSOR_NAMES}
+    shapes = {name: grid.shape for name, grid in first.named().items()}
     for ts in tensor_sets[1:]:
         if ts.stride != first.stride:
             raise ValueError(f"stride mismatch: {ts.stride} vs {first.stride}")
-        for name in TENSOR_NAMES:
-            shape = _grid(ts, name).shape
-            if shape != shapes[name]:
-                raise ValueError(f"{name}: shape {shape} does not match {shapes[name]}")
+        for name, grid in ts.named().items():
+            if grid.shape != shapes[name]:
+                raise ValueError(f"{name}: shape {grid.shape} does not match {shapes[name]}")
 
     live = [(ts, w / total) for ts, w in zip(tensor_sets, weights) if w != 0]
 
     def fused(name: str):
-        grids = [(_grid(ts, name), share) for ts, share in live]
-        dtype = _grid(first, name).dtype
+        grids = [(getattr(ts, name), share) for ts, share in live]
+        dtype = getattr(first, name).dtype
         if name in HEATMAP_NAMES:
             if dtype == np.float32 and all(isinstance(grid, _SparseGrid) for grid, _ in grids):
                 return _sparse_sum(grids)

@@ -15,7 +15,7 @@ still regresses sensibly where its center heatmap under-fires.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -280,6 +280,9 @@ def noisy_view_tensors(
     per-object center peaks are rescaled, dropped, or duplicated. Regression
     channels for dropped objects are left in place so that tensor-space
     fusion of another view's surviving peak still decodes the right box.
+
+    center, wh and center_offset come back as float32 arrays; the other
+    tensors stay encode_scene's `heads._SparseGrid`s.
     """
     view = scene
     if scale != 1.0:
@@ -287,6 +290,8 @@ def noisy_view_tensors(
     if flipped:
         view = mirror_scene(view, table)
     tensors = encode_scene(view, table, encode_params)
+    # Writable copies of the three tensors edited below.
+    tensors = replace(tensors, **{n: np.asarray(getattr(tensors, n)) for n in ("center", "wh", "center_offset")})
 
     heights = _stream(noise.seed, scene.image_id, "heights")
     lo, hi = noise.peak_height_range

@@ -125,6 +125,16 @@ class TestEncodeDecode:
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(out.glob("*.dmrk"))
 
+    @pytest.mark.parametrize("image_id", ["../escaped", "a/b", "img@flip", "", ".", "..", "nul\0id"])
+    def test_encode_rejects_ids_that_cannot_name_a_view(self, workspace, tmp_path, capsys, image_id):
+        doc = json.loads((workspace / "scenes.json").read_text("utf-8"))
+        doc["images"][1]["image_id"] = image_id
+        scenes, out = tmp_path / "scenes.json", tmp_path / "sub" / "views"
+        scenes.write_text(json.dumps(doc), "utf-8")
+        assert main(["encode", "--scenes", str(scenes), "--out-dir", str(out)]) == 2
+        assert f"error: image 1: image_id {image_id!r} cannot name a view file" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.dmrk"))
+
     @pytest.mark.parametrize("scales,message", [
         ("inf", "--scales must be positive and finite, got inf in 'inf'"),
         ("nan", "--scales must be positive and finite, got nan in 'nan'"),

@@ -22,6 +22,7 @@ from clothdet import (
     new_head_tensors,
     synth_scenes,
 )
+from clothdet.heads import _SparseGrid
 from clothdet.scene import translate_scene
 
 
@@ -138,6 +139,26 @@ def test_two_channels_same_cell_give_two_detections():
     tensors.center[7, 5, 5] = 0.8
     dets = decode_detections(tensors, DecodeConfig(min_center_score=0.5))
     assert [(d.category_id, d.score) for d in dets] == [(1, 0.9), (8, 0.8)]
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, "center: value 1.5 outside [0, 1] at channel 2, cell (3, 4)"),
+    (-0.25, "center: value -0.25 outside [0, 1] at channel 2, cell (3, 4)"),
+    (np.nan, "center: non-finite value at channel 2, cell (3, 4)"),
+])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_both_decoders_reject_the_same_center_value(table, value, message, sparse):
+    tensors = new_head_tensors(8, 8, 4)
+    tensors.center[2, 3, 4] = value
+    tensors.center[0, 1, 1] = 0.5
+    if sparse:
+        flat = np.flatnonzero(tensors.center)
+        center = _SparseGrid(tensors.center.shape, flat, tensors.center.reshape(-1)[flat])
+        tensors = dataclasses.replace(tensors, center=center)
+    for decode in (lambda: decode_scene(tensors, table), lambda: decode_detections(tensors)):
+        with pytest.raises(TensorValidationError) as caught:
+            decode()
+        assert caught.value.issues == [message]
 
 
 def test_coarse_keypoints_zero_offsets(table):

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from clothdet import (
     validate_head_tensors,
     write_tensors,
 )
+from clothdet.heads import _SparseGrid
 from conftest import make_item, make_scene
 
 
@@ -174,7 +176,7 @@ def test_encode_empty_scene_is_all_zero(table):
     tensors = encode_scene(scene, table)
     assert tensors.center.shape == (13, 16, 24)
     for grid in tensors.named().values():
-        assert not grid.any()
+        assert not np.asarray(grid).any()
 
 
 def test_encode_single_item_example(table):
@@ -217,9 +219,9 @@ def test_encode_fractional_positions(table):
 def test_encode_unlabeled_landmarks_contribute_nothing(table):
     item = make_item(table, 1, [32, 28, 48, 52], visibility=0)
     tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
-    assert not tensors.kp_heatmap.any()
-    assert not tensors.kp_offset.any()
-    assert not tensors.kp_refine_offset.any()
+    assert not np.asarray(tensors.kp_heatmap).any()
+    assert not np.asarray(tensors.kp_offset).any()
+    assert not np.asarray(tensors.kp_refine_offset).any()
     # The box itself is still encoded.
     assert tensors.center[0, 10, 10] == 1.0
 
@@ -227,15 +229,15 @@ def test_encode_unlabeled_landmarks_contribute_nothing(table):
 def test_encode_occluded_landmarks_are_encoded(table):
     item = make_item(table, 1, [32, 28, 48, 52], visibility=1)
     tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
-    assert tensors.kp_heatmap.any()
+    assert np.asarray(tensors.kp_heatmap).any()
 
 
 def test_encode_output_validates(table):
     item = make_item(table, 5, [10, 10, 80, 90])
     tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
     assert validate_head_tensors(tensors, table).ok
-    assert tensors.center.max() == 1.0
-    assert tensors.kp_heatmap.max() <= 1.0
+    assert np.asarray(tensors.center).max() == 1.0
+    assert np.asarray(tensors.kp_heatmap).max() <= 1.0
 
 
 def test_encode_pads_up_odd_image_dims(table):
@@ -363,8 +365,9 @@ def assert_same_encoding(scene, table, workdir, params=EncodeParams()):
     write_tensors(b, want)
     assert a.read_bytes() == b.read_bytes()
     for name, grid in want.named().items():
-        array = getattr(got, name)
-        assert type(array) is np.ndarray and array.dtype == np.float32 and array.flags.writeable, name
+        assert isinstance(getattr(got, name), _SparseGrid), name
+        array = np.asarray(getattr(got, name))
+        assert array.dtype == np.float32 and array.flags.writeable, name
         np.testing.assert_array_equal(array.view(np.uint32), grid.view(np.uint32), err_msg=name)
 
 
@@ -409,10 +412,11 @@ def test_encode_refine_conflict_keeps_first_and_warns(table, caplog):
     assert any("1 landmark cells hold offsets of an earlier peak" in rec.message for rec in caplog.records)
 
 
-def test_write_after_read_writes_the_array(table, tmp_path):
+def test_write_after_copy_writes_the_array(table, tmp_path):
     scene = synth_scenes(SynthParams(seed=3, num_images=1, image_width=96, image_height=96, max_box_size=64), table)[0]
     tensors = encode_scene(scene, table)
     reference = dense_encode_scene(scene, table)
+    tensors = replace(tensors, wh=np.array(tensors.wh))
     tensors.wh[0, 1, 2] = 7.5
     reference.wh[0, 1, 2] = 7.5
     path, want = tmp_path / "t.dmrk", tmp_path / "want.dmrk"

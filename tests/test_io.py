@@ -108,9 +108,9 @@ def directory(blob):
 
 def assert_bits_equal(loaded, tensors):
     for name, grid in tensors.named().items():
-        got = np.asarray(loaded.named()[name])
-        assert got.dtype == np.float32 and got.shape == grid.shape, name
-        np.testing.assert_array_equal(got.view(np.uint32), grid.view(np.uint32), err_msg=name)
+        got, want = np.asarray(loaded.named()[name]), np.asarray(grid)
+        assert got.dtype == np.float32 and got.shape == want.shape, name
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32), err_msg=name)
 
 
 def grid_shape(name, height, width):
@@ -256,7 +256,7 @@ class TestSparseContainer:
         write_tensors(path, tensors)
         entries, payload_size = directory(path.read_bytes())
         assert [encoding for _, encoding in entries] == [1] * len(TENSOR_NAMES)
-        extents = [4 + 8 * int(np.count_nonzero(grid)) for grid in tensors.named().values()]
+        extents = [4 + 8 * int(np.count_nonzero(np.asarray(grid))) for grid in tensors.named().values()]
         assert payload_size == padded_payload_size(extents)
         assert_bits_equal(read_tensors(path), tensors)
 

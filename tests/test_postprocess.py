@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,8 @@ from clothdet.cli import main
 from clothdet.decode import extract_peaks
 from clothdet.scene import mirror_scene, scale_scene
 
+import unbatched_reference
+
 
 def det(category=1, score=0.5, box=(0, 0, 10, 10), landmarks=()):
     lm = np.asarray(landmarks, dtype=np.float64).reshape(-1, 3)
@@ -49,6 +52,16 @@ def random_tensors(rng, height=16, width=16, stride=4):
     tensors.center_offset[0] = (rng.integers(0, 4097, tensors.center_offset[0].shape) / 4096).astype(np.float32)
     tensors.kp_refine_offset[0] = (rng.integers(0, 4097, tensors.kp_refine_offset[0].shape) / 4096).astype(np.float32)
     return tensors
+
+
+# Signed zeros, infinities, NaN, a value whose products overflow, and ordinary coordinates.
+SPECIAL_COORDS = [0.0, -0.0, 1.0, 2.0, 3.0, -1.0, np.inf, -np.inf, np.nan, 1e308]
+coords = st.one_of(st.sampled_from(SPECIAL_COORDS), st.floats(-8, 8, allow_nan=False))
+boxes = st.tuples(coords, coords, coords, coords)
+
+
+def same_float(a, b):
+    return (np.isnan(a) and np.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class TestIou:
@@ -71,6 +84,14 @@ class TestIou:
     def test_symmetry(self):
         a, b = [0, 0, 4, 6], [2, 1, 7, 5]
         assert iou(a, b) == iou(b, a)
+
+    @given(boxes, boxes)
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_python_float_reference(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = iou(a, b)
+        assert type(got) is float and same_float(got, unbatched_reference.iou(a, b))
 
 
 class TestFusionConfig:
@@ -113,6 +134,19 @@ class TestNms:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             nms([], 0.0)
+
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 7]), st.sampled_from([0.9, 0.5, 0.0, 1.0, np.nan]), boxes),
+                    max_size=30),
+           st.sampled_from([0.3, 0.5, 1 / 7, 0.999]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_pair_by_pair_reference(self, rows, threshold):
+        # Ties, NaN scores and non-finite or signed-zero boxes included.
+        dets = [det(c, s, box) for c, s, box in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = nms(dets, threshold)
+        want = unbatched_reference.nms(dets, threshold)
+        assert [id(d) for d in kept] == [id(d) for d in want]
 
     @given(st.lists(
         st.tuples(

@@ -5,6 +5,7 @@ tensors once as arrays and once with sparse heatmaps, and compares bit
 patterns.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -224,19 +225,42 @@ def same_detections(a, b):
     )
 
 
-def test_unread_encoder_tensors_are_never_scattered(table, paired_table, tmp_path):
+def test_encoder_tensors_are_never_scattered(table, paired_table, tmp_path, monkeypatch):
     config = clothdet.decode.DecodeConfig()
-    for scene in synth_scenes(SynthParams(seed=4, num_images=3, image_width=256, image_height=256), table):
-        plain, mirrored = encode_scene(scene, table), encode_scene(scene, table)
-        dense = HeadTensorSet(stride=plain.stride, **encode_scene(scene, table).named())
-        assert same_detections(decode_scene(plain, table), decode_scene(dense, table))
-        fused = infer([(1.0, plain, mirrored)], paired_table, config, None)
-        assert same_detections(fused, infer([(1.0, dense, dense)], paired_table, config, None))
-        write_tensors(tmp_path / "got.dmrk", plain)
+    scenes = synth_scenes(SynthParams(seed=4, num_images=3, image_width=256, image_height=256), table)
+    cases = []
+    for scene in scenes:
+        dense = HeadTensorSet(stride=4, **{name: np.asarray(grid) for name, grid in encode_scene(scene, table).named().items()})
         write_tensors(tmp_path / "want.dmrk", dense)
-        assert (tmp_path / "got.dmrk").read_bytes() == (tmp_path / "want.dmrk").read_bytes()
-        # Validation, peaks, regression reads, flip, fuse and the write read no tensor as an attribute.
-        assert plain._arrays == {} and mirrored._arrays == {}
+        want = (decode_scene(dense, table), infer([(1.0, dense, dense)], paired_table, config, None),
+                (tmp_path / "want.dmrk").read_bytes())
+        cases.append((scene, want))
+
+    def scatter(grid):
+        raise AssertionError("a sparse grid was scattered")
+
+    # Validation, peaks, regression reads, flip, fuse and the write read the listed cells alone.
+    monkeypatch.setattr(_SparseGrid, "whole", scatter)
+    for scene, (decoded, fused, written) in cases:
+        plain, mirrored = encode_scene(scene, table), encode_scene(scene, table)
+        assert all(isinstance(grid, _SparseGrid) for grid in plain.named().values())
+        assert validate_head_tensors(plain, table).ok
+        assert same_detections(decode_scene(plain, table), decoded)
+        assert same_detections(infer([(1.0, plain, mirrored)], paired_table, config, None), fused)
+        write_tensors(tmp_path / "got.dmrk", plain)
+        assert (tmp_path / "got.dmrk").read_bytes() == written
+
+
+def test_named_on_an_encoder_set_allocates_no_arrays(table):
+    scene = synth_scenes(SynthParams(seed=4, num_images=1, image_width=512, image_height=512), table)[0]
+    tensors = encode_scene(scene, table)
+    tracemalloc.start()
+    try:
+        tensors.named()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fuse_sums_inputs_in_order():

@@ -1,10 +1,12 @@
-"""Per-object reference copies of the evaluator and the JSON readers.
+"""Per-object reference copies of the evaluator, NMS and the JSON readers.
 
-`evaluate`, `oks` and `_greedy_from_matrix` score one (detection, GT) pair
-per Python call and match one (image, category) bucket per call;
-`read_scenes` and `read_detections` check and convert one object at a time.
-clothdet's own versions batch this work into arrays. The tests hold them to
-these copies: the same reports and PR curves bit for bit, and the same
+`iou` scores one box pair in Python floats, and `nms` calls it once per
+(detection, kept rival) pair; `evaluate`, `oks` and `_greedy_from_matrix`
+score one (detection, GT) pair per Python call and match one
+(image, category) bucket per call; `read_scenes` and `read_detections`
+check and convert one object at a time. clothdet's own versions batch this
+work into arrays. The tests hold them to these copies: the same IoUs and
+kept detections, the same reports and PR curves bit for bit, and the same
 results or the same FormatError messages from the readers.
 
 Only the parts that batching rewrote are copied here. The AP envelope, the
@@ -37,10 +39,37 @@ from clothdet.metrics import (
     _pr_envelope,
     _RECALL_GRID,
 )
-from clothdet.postprocess import iou
 from clothdet.scene import Detection, GroundTruthItem, Scene, SceneError, box_area, clamp_scene, validate_scene
 
 logger = logging.getLogger(__name__)
+
+
+def iou(a, b) -> float:
+    ax1, ay1, ax2, ay2 = (float(v) for v in a)
+    bx1, by1, bx2, by2 = (float(v) for v in b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        inter = 0.0
+    else:
+        inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def nms(detections: list[Detection], threshold: float) -> list[Detection]:
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    kept_boxes: dict[int, list[np.ndarray]] = {}
+    keep = [False] * len(detections)
+    for i in order:
+        det = detections[i]
+        rivals = kept_boxes.setdefault(det.category_id, [])
+        if all(iou(det.box, other) < threshold for other in rivals):
+            keep[i] = True
+            rivals.append(det.box)
+    return [det for i, det in enumerate(detections) if keep[i]]
 
 
 def oks(pred_landmarks, gt_item: GroundTruthItem, sigmas, visibility_mode: str) -> float | None:

@@ -7,7 +7,8 @@ Runs `python3 perfbench/run.py --seed N` in the checkout once for each of the
 seeds 1, 2 and 3, one after another, and writes the commit, the command, the
 seeds, the machine (nproc, numpy and Python versions), each run's last-line
 JSON and the median of every metric across the runs. A run that exits
-non-zero stops the recording without writing the file.
+non-zero, or that reports `"correct": false` or a failed operation, stops
+the recording without writing the file.
 """
 
 from __future__ import annotations
@@ -64,8 +65,13 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     runs = []
     for seed in SEEDS:
-        runs.append(_run(checkout, seed))
-        print(f"seed {seed}: correct {runs[-1]['correct']}, failed {runs[-1]['failed']}", file=sys.stderr)
+        run = _run(checkout, seed)
+        print(f"seed {seed}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
+        if run["correct"] is not True or run["failed"] != 0:
+            raise SystemExit(
+                f"perfbench run on seed {seed} is not correct ({run['failed']} failed); {args.out} not written"
+            )
+        runs.append(run)
     record = {
         "commit": _commit(checkout),
         "command": " ".join(COMMAND) + " N",
