@@ -16,14 +16,12 @@ from .categories import (
     CategoryTable,
     default_table,
     dump_category_table,
-    global_keypoint_index,
     load_category_table,
 )
 from .decode import (
     DecodeConfig,
     KeypointCandidates,
     Peak,
-    decode_coarse_keypoints,
     decode_detections,
     decode_scene,
     extract_keypoint_candidates,
@@ -43,10 +41,8 @@ from .heads import (
     TENSOR_NAMES,
     HeadTensorSet,
     TensorValidationError,
-    ValidationResult,
     new_head_tensors,
     require_valid,
-    validate_head_tensors,
 )
 from .metrics import (
     VISIBILITY_MODES,
@@ -63,7 +59,6 @@ from .metrics import (
     report_to_dict,
 )
 from .postprocess import (
-    FusionConfig,
     flip_tensors,
     fuse_multiscale,
     fuse_tensors,
@@ -84,7 +79,6 @@ from .scene import (
     clamp_scene,
     mirror_scene,
     scale_scene,
-    translate_scene,
     validate_scene,
 )
 from .synth import NoiseParams, SynthParams, noisy_view_tensors, synth_scenes
@@ -96,27 +90,25 @@ __all__ = [
     "StrategyReport", "StrategyResult", "compare_strategies",
     # categories
     "DEFAULT_SIGMA", "NUM_CATEGORIES", "TOTAL_KEYPOINTS", "CategoryConfigError", "CategorySpec",
-    "CategoryTable", "default_table", "dump_category_table", "global_keypoint_index", "load_category_table",
+    "CategoryTable", "default_table", "dump_category_table", "load_category_table",
     # decode
-    "DecodeConfig", "KeypointCandidates", "Peak", "decode_coarse_keypoints", "decode_detections",
-    "decode_scene", "extract_keypoint_candidates", "extract_peaks",
+    "DecodeConfig", "KeypointCandidates", "Peak", "decode_detections", "decode_scene",
+    "extract_keypoint_candidates", "extract_peaks",
     # encode
     "EncodeParams", "encode_scene", "gaussian_radius", "render_gaussian",
     # fileio
     "FormatError", "read_detections", "read_scenes", "read_tensors", "write_detections", "write_scenes",
     "write_tensors",
     # heads
-    "TENSOR_NAMES", "HeadTensorSet", "TensorValidationError", "ValidationResult", "new_head_tensors",
-    "require_valid", "validate_head_tensors",
+    "TENSOR_NAMES", "HeadTensorSet", "TensorValidationError", "new_head_tensors", "require_valid",
     # metrics
     "VISIBILITY_MODES", "VISIBLE_AND_OCCLUDED", "VISIBLE_ONLY", "EvalConfig", "EvaluationError",
     "MetricBlock", "MetricReport", "PRCurve", "evaluate", "oks", "report_to_csv_rows", "report_to_dict",
     # postprocess
-    "FusionConfig", "flip_tensors", "fuse_multiscale", "fuse_tensors", "infer", "iou", "nms",
-    "rescale_detections",
+    "flip_tensors", "fuse_multiscale", "fuse_tensors", "infer", "iou", "nms", "rescale_detections",
     # scene
     "VIS_OCCLUDED", "VIS_UNLABELED", "VIS_VISIBLE", "Detection", "GroundTruthItem", "Scene", "SceneError",
-    "box_area", "clamp_scene", "mirror_scene", "scale_scene", "translate_scene", "validate_scene",
+    "box_area", "clamp_scene", "mirror_scene", "scale_scene", "validate_scene",
     # synth
     "NoiseParams", "SynthParams", "noisy_view_tensors", "synth_scenes",
 ]

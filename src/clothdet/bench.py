@@ -15,15 +15,18 @@ import numpy as np
 
 from .categories import CategoryTable, default_table
 from .decode import DecodeConfig, decode_scene
-from .encode import EncodeParams
 from .heads import HeadTensorSet
-from .metrics import EvalConfig, evaluate
-from .postprocess import FusionConfig, infer
+from .metrics import evaluate
+from .postprocess import infer
 from .scene import Detection, Scene
 from .synth import NoiseParams, noisy_view_tensors
 
 
 STRATEGY_NAMES = ("none", "nms", "nms+flip", "nms+flip+multiscale")
+# The scales of the multiscale rung; the other rungs read the 1.0 views alone.
+SCALES = (1.0, 0.75)
+NMS_IOU = 0.5
+DECODE_CONFIG = DecodeConfig(min_center_score=0.1)
 
 
 @dataclass(frozen=True)
@@ -57,33 +60,28 @@ def compare_strategies(
     scenes: list[Scene],
     table: CategoryTable | None = None,
     noise: NoiseParams = NoiseParams(),
-    encode_params: EncodeParams = EncodeParams(),
-    decode_config: DecodeConfig = DecodeConfig(min_center_score=0.1),
-    fusion: FusionConfig = FusionConfig(),
-    eval_config: EvalConfig = EvalConfig(),
 ) -> StrategyReport:
     """Score the cumulative post-processing ladder on noisy views.
 
     Four pipelines over the same corrupted detector output: raw decode, NMS,
     NMS over flip-fused tensors, and NMS over flip-fused tensors at every
-    scale with detection-space merging. Latency covers everything after the
-    simulated network pass; view encoding is excluded.
+    scale of SCALES with detection-space merging. Views are encoded with the
+    default EncodeParams, decoded with DECODE_CONFIG, suppressed at NMS_IOU
+    and scored with the default EvalConfig. Latency covers everything after
+    the simulated network pass; view encoding is excluded.
     """
     table = table or default_table()
     views: dict[tuple[float, bool], dict[str, HeadTensorSet]] = {}
-    # The single-scale rungs and the warm-up read the 1.0 views whatever fusion.scales holds.
-    for scale in dict.fromkeys((1.0, *fusion.scales)):
+    for scale in SCALES:
         for flipped in (False, True):
-            views[(scale, flipped)] = {
-                s.image_id: noisy_view_tensors(s, table, noise, scale, flipped, encode_params) for s in scenes
-            }
+            views[(scale, flipped)] = {s.image_id: noisy_view_tensors(s, table, noise, scale, flipped) for s in scenes}
     for scene in scenes:
-        decode_scene(views[(1.0, False)][scene.image_id], table, decode_config)
+        decode_scene(views[(1.0, False)][scene.image_id], table, DECODE_CONFIG)
 
     def run(strategy: str) -> StrategyResult:
-        scales = fusion.scales if strategy == "nms+flip+multiscale" else (1.0,)
+        scales = SCALES if strategy == "nms+flip+multiscale" else (1.0,)
         flip = strategy.startswith("nms+flip")
-        nms_iou = None if strategy == "none" else fusion.nms_iou_threshold
+        nms_iou = None if strategy == "none" else NMS_IOU
         per_image: dict[str, list[Detection]] = {}
         elapsed = 0.0
         for scene in scenes:
@@ -93,11 +91,11 @@ def compare_strategies(
                 for scale in scales
             ]
             start = time.perf_counter()
-            dets = infer(image_views, table, decode_config, nms_iou)
+            dets = infer(image_views, table, DECODE_CONFIG, nms_iou)
             elapsed += time.perf_counter() - start
             per_image[image_id] = dets
 
-        report = evaluate(per_image, scenes, table, eval_config)
+        report = evaluate(per_image, scenes, table)
         map_box, map_pt = _map_of(report)
         return StrategyResult(strategy, map_box, map_pt, elapsed * 1e3 / max(len(scenes), 1))
 

@@ -77,17 +77,6 @@ class CategoryTable:
         return slice(spec.global_offset, spec.global_offset + spec.keypoint_count)
 
 
-def global_keypoint_index(table: CategoryTable, category_id: int, local_idx: int) -> int:
-    """Map a category-local landmark index into the global 294-entry space."""
-    spec = table.spec(category_id)
-    if not 0 <= local_idx < spec.keypoint_count:
-        raise CategoryConfigError(
-            f"local index {local_idx} out of range for category {category_id}, "
-            f"slice has {spec.keypoint_count} entries"
-        )
-    return spec.global_offset + local_idx
-
-
 def _category_of_global(specs: tuple[CategorySpec, ...], global_idx: int) -> CategorySpec:
     for spec in specs:
         if spec.global_offset <= global_idx < spec.global_offset + spec.keypoint_count:

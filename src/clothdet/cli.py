@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .metrics import (
 # this module because perfbench/workloads.py times the decode command by
 # wrapping these names in it.
 from .postprocess import flip_tensors, fuse_tensors, infer, nms, rescale_detections  # noqa: F401
-from .scene import Detection, Scene, mirror_scene, scale_scene
+from .scene import Detection, Scene, _stride_padded, mirror_scene, scale_scene
 from .synth import NoiseParams, SynthParams, synth_scenes
 
 _MODES = {"visible": VISIBLE_ONLY, "all": VISIBLE_AND_OCCLUDED}
@@ -139,7 +138,8 @@ def _cmd_encode(args) -> int:
                     f"--scales value {scale:g} leaves image {scene.image_id!r} ({scene.width}x{scene.height}) with no pixels"
                 )
             for flipped in (False, True) if args.flip else (False,):
-                final = mirror_scene(view, table) if flipped else view
+                # The mirror of the stride-padded view, which flip_tensors undoes.
+                final = mirror_scene(_stride_padded(view, params.stride), table) if flipped else view
                 write_tensors(out_dir / _view_name(scene.image_id, scale, flipped), encode_scene(final, table, params))
                 written += 1
     print(f"wrote {written} tensor files to {out_dir}")
@@ -176,20 +176,23 @@ def _cmd_decode(args) -> int:
         snap_box_margin=args.snap_margin,
     )
     tensor_dir = Path(args.tensors)
-    ids = sorted(p.stem for p in tensor_dir.glob("*.dmrk") if "@" not in p.stem)
-    if not ids:
-        raise ValueError(f"no base .dmrk files found in {tensor_dir}")
     scales = _parse_scales(args.scales)
+    # The images are those with a plain view at the first listed scale.
+    suffix = _view_name("", scales[0], False)
+    ids = sorted(
+        image_id
+        for image_id in (p.name[: -len(suffix)] for p in tensor_dir.glob("*" + suffix))
+        if image_id and "@" not in image_id
+    )
+    if not ids:
+        raise ValueError(
+            f"no base .dmrk files found in {tensor_dir} (looked for <id>{suffix}, "
+            "the plain views of the first --scales value)"
+        )
     nms_iou = None if args.no_nms else args.nms_iou
-
-    def work(image_id: str) -> list[Detection]:
-        return _decode_one(image_id, tensor_dir, table, config, scales, args.flip, nms_iou)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = dict(zip(ids, pool.map(work, ids)))
-    else:
-        results = {image_id: work(image_id) for image_id in ids}
+    results = {
+        image_id: _decode_one(image_id, tensor_dir, table, config, scales, args.flip, nms_iou) for image_id in ids
+    }
     write_detections(args.out, results)
     total = sum(len(v) for v in results.values())
     print(f"decoded {total} detections over {len(ids)} images to {args.out}")
@@ -385,8 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nms-iou", type=float, default=0.5)
     p.add_argument("--no-nms", action="store_true")
     p.add_argument("--flip", action="store_true", help="fuse each view with its mirrored file")
-    p.add_argument("--scales", default="1.0")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--scales", default="1.0", help="comma list; images are those with a plain view at the first")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("fuse", help="weighted-average tensor files")

@@ -242,19 +242,6 @@ def _coarse_keypoints(
     return block + np.concatenate((col, row), axis=1), owner, keypoint
 
 
-def decode_coarse_keypoints(
-    tensors: HeadTensorSet, table: CategoryTable, detection_center_cell: tuple[int, int], category: int
-) -> np.ndarray:
-    """Coarse landmark positions for one detection, as (K, 2) cell coords.
-
-    Local keypoint l with global index g reads kp_offset channels 2g, 2g+1
-    at the center cell and adds them to the center cell position.
-    """
-    table.spec(category)  # raises for an unknown category
-    cell = [np.array([v], dtype=np.int64) for v in (category - 1, *detection_center_cell)]
-    return _coarse_keypoints(tensors, table, *cell)[0]
-
-
 def _snap(
     coarse: np.ndarray,
     owner: np.ndarray,

@@ -21,6 +21,11 @@ is never scattered unless a caller asks for the whole array. The
 regression tensors of flipped and fused sets are lazy grids computed at
 the cells read. Grids are read-only: a caller that edits a tensor takes
 `np.array(tensor)` and puts it in a new set with `dataclasses.replace`.
+
+`require_valid` is the one validation entry point: it checks channel
+counts, spatial dims, stride and heatmap values, and raises
+`TensorValidationError` with every issue found. `require_shapes` is its
+shape part alone.
 """
 
 from __future__ import annotations
@@ -161,12 +166,6 @@ def _take(grid, c, r, x) -> np.ndarray:
     return grid.gather(c, r, x) if isinstance(grid, _LazyGrid) else grid[c, r, x]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    issues: tuple[str, ...]
-
-
 def _channel_counts(num_categories: int) -> dict[str, int]:
     return {
         "center": num_categories,
@@ -237,23 +236,20 @@ def _heatmap_issue(name: str, grid) -> str | None:
     return f"{name}: non-finite value at channel {c}, cell ({r}, {col})"
 
 
-def validate_head_tensors(tensors: HeadTensorSet, table: CategoryTable) -> ValidationResult:
-    """Check channel counts, consistent spatial dims, and heatmap values (see _heatmap_issue).
+def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> None:
+    """Check channel counts, consistent spatial dims, stride and heatmap values (see _heatmap_issue).
 
-    Returns a result listing every issue found (empty issue list means valid).
+    Raises:
+        TensorValidationError: listing every issue found in `.issues`, the
+            shape issues first, then those of `center` and `kp_heatmap`.
     """
     issues = _shape_issues(tensors, table)
     for name in HEATMAP_NAMES:
         issue = _heatmap_issue(name, getattr(tensors, name))
         if issue is not None:
             issues.append(issue)
-    return ValidationResult(ok=not issues, issues=tuple(issues))
-
-
-def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> None:
-    result = validate_head_tensors(tensors, table)
-    if not result.ok:
-        raise TensorValidationError(list(result.issues))
+    if issues:
+        raise TensorValidationError(issues)
 
 
 def require_shapes(tensors: HeadTensorSet, table: CategoryTable) -> None:

@@ -17,8 +17,7 @@ map coordinates back to original pixels, then merge the lists under NMS.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -28,24 +27,8 @@ from .decode import DecodeConfig, decode_scene
 from .heads import HEATMAP_NAMES, TENSOR_NAMES, HeadTensorSet, _LazyGrid, _SparseGrid, _take, require_valid
 from .scene import Detection
 
-DEFAULT_SCALES = (1.0, 0.75)
 # Values per block of the heatmap average: 256 KB of float64.
 _BLOCK_VALUES = 32768
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    nms_iou_threshold: float = 0.5
-    scales: tuple[float, ...] = DEFAULT_SCALES
-
-    def __post_init__(self):
-        if not 0 < self.nms_iou_threshold < 1:
-            raise ValueError(f"nms_iou_threshold must be in (0, 1), got {self.nms_iou_threshold}")
-        if not self.scales:
-            raise ValueError(f"scales must list at least one scale, got {self.scales!r}")
-        for scale in self.scales:
-            if not (math.isfinite(scale) and scale > 0):
-                raise ValueError(f"scales must be positive and finite, got {scale:g} in {self.scales!r}")
 
 
 def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

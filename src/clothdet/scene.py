@@ -137,6 +137,16 @@ def scale_scene(scene: Scene, scale: float) -> Scene:
     return Scene(scene.image_id, int(round(width)), int(round(height)), tuple(items))
 
 
+def _stride_padded(scene: Scene, stride: int) -> Scene:
+    """The scene with its width padded up to a multiple of the stride, as encode pads its grid.
+
+    A mirrored view is the mirror of this image: x -> Wg*stride - x on a grid
+    of Wg columns is what flip_tensors undoes (column c -> Wg-1-c), while
+    mirroring about an unpadded width would shift every unflipped peak.
+    """
+    return replace(scene, width=-(-scene.width // stride) * stride)
+
+
 def mirror_scene(scene: Scene, table: CategoryTable) -> Scene:
     """Mirror a scene horizontally, swapping landmarks within flip pairs.
 

@@ -22,7 +22,16 @@ import numpy as np
 from .categories import CategoryTable, default_table
 from .encode import EncodeParams, encode_scene, gaussian_radius, render_gaussian
 from .heads import HeadTensorSet
-from .scene import VIS_OCCLUDED, VIS_UNLABELED, VIS_VISIBLE, GroundTruthItem, Scene, mirror_scene, scale_scene
+from .scene import (
+    VIS_OCCLUDED,
+    VIS_UNLABELED,
+    VIS_VISIBLE,
+    GroundTruthItem,
+    Scene,
+    _stride_padded,
+    mirror_scene,
+    scale_scene,
+)
 
 _PLACEMENT_ATTEMPTS = 200
 
@@ -276,8 +285,10 @@ def noisy_view_tensors(
 ) -> HeadTensorSet:
     """Encode one corrupted test-time view of a scene.
 
-    The view is the scene scaled then mirrored, encoded cleanly, after which
-    per-object center peaks are rescaled, dropped, or duplicated. Regression
+    The view is the scene scaled, then mirrored with its width padded to a
+    multiple of the stride (the mirror flip_tensors undoes), and encoded
+    cleanly, after which per-object center peaks are rescaled, dropped, or
+    duplicated. Regression
     channels for dropped objects are left in place so that tensor-space
     fusion of another view's surviving peak still decodes the right box.
 
@@ -288,7 +299,7 @@ def noisy_view_tensors(
     if scale != 1.0:
         view = scale_scene(view, scale)
     if flipped:
-        view = mirror_scene(view, table)
+        view = mirror_scene(_stride_padded(view, encode_params.stride), table)
     tensors = encode_scene(view, table, encode_params)
     # Writable copies of the three tensors edited below.
     tensors = replace(tensors, **{n: np.asarray(getattr(tensors, n)) for n in ("center", "wh", "center_offset")})

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from clothdet import GroundTruthItem, Scene, default_table, dump_category_table, load_category_table
+from clothdet import (
+    GroundTruthItem,
+    Scene,
+    TensorValidationError,
+    default_table,
+    dump_category_table,
+    load_category_table,
+    require_valid,
+)
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +51,12 @@ def make_item(table, category_id, box, landmark_pixels=None, visibility=2):
 
 def make_scene(table, items, image_id="img-0", width=128, height=128):
     return Scene(image_id=image_id, width=width, height=height, items=tuple(items))
+
+
+def validation_issues(tensors, table):
+    """The issues require_valid raises for the set, or [] when it passes."""
+    try:
+        require_valid(tensors, table)
+    except TensorValidationError as err:
+        return err.issues
+    return []

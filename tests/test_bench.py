@@ -1,4 +1,4 @@
-from clothdet import FusionConfig, NoiseParams, SynthParams, synth_scenes
+from clothdet import NoiseParams, SynthParams, synth_scenes
 from clothdet.bench import STRATEGY_NAMES, compare_strategies
 
 
@@ -19,14 +19,3 @@ class TestCompareStrategies:
         rows = report.rows()
         assert rows[0] == ["metric", *STRATEGY_NAMES]
         assert [r[0] for r in rows[1:]] == ["mAP_box", "mAP_pt", "latency_ms"]
-
-    def test_scales_without_unit_scale(self, table):
-        scenes = synth_scenes(
-            SynthParams(seed=1, num_images=2, image_width=256, image_height=256,
-                        min_box_size=48, max_box_size=96, avoid_cell_boundaries=True),
-            table,
-        )
-        report = compare_strategies(scenes, table, NoiseParams(seed=1), fusion=FusionConfig(scales=(0.75,)))
-        assert tuple(r.name for r in report.results) == STRATEGY_NAMES
-        for result in report.results:
-            assert 0.0 <= result.map_box <= 1.0

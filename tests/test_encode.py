@@ -17,9 +17,9 @@ from clothdet import (
     new_head_tensors,
     read_tensors,
     render_gaussian,
+    require_valid,
     scale_scene,
     synth_scenes,
-    validate_head_tensors,
     write_tensors,
 )
 from clothdet.heads import _SparseGrid
@@ -235,7 +235,7 @@ def test_encode_occluded_landmarks_are_encoded(table):
 def test_encode_output_validates(table):
     item = make_item(table, 5, [10, 10, 80, 90])
     tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
-    assert validate_head_tensors(tensors, table).ok
+    require_valid(tensors, table)
     assert np.asarray(tensors.center).max() == 1.0
     assert np.asarray(tensors.kp_heatmap).max() <= 1.0
 

@@ -8,9 +8,9 @@ from clothdet import (
     TensorValidationError,
     new_head_tensors,
     require_valid,
-    validate_head_tensors,
 )
 from clothdet.heads import TENSOR_NAMES
+from conftest import validation_issues
 
 
 def test_new_head_tensors_shapes_and_dtype():
@@ -33,16 +33,14 @@ def test_new_head_tensors_shapes_and_dtype():
 
 
 def test_all_zero_set_is_valid(table):
-    result = validate_head_tensors(new_head_tensors(16, 16, 4), table)
-    assert result.ok
-    assert result.issues == ()
+    assert validation_issues(new_head_tensors(16, 16, 4), table) == []
 
 
 def test_wrong_center_channel_count(table):
     tensors = new_head_tensors(16, 16, 4, num_categories=12)
-    result = validate_head_tensors(tensors, table)
-    assert not result.ok
-    assert any("center: expected 13 channels" in issue for issue in result.issues)
+    issues = validation_issues(tensors, table)
+    assert issues
+    assert any("center: expected 13 channels" in issue for issue in issues)
 
 
 def test_wrong_wh_channel_count(table):
@@ -56,38 +54,37 @@ def test_wrong_wh_channel_count(table):
         kp_heatmap=base.kp_heatmap,
         kp_refine_offset=base.kp_refine_offset,
     )
-    result = validate_head_tensors(tensors, table)
-    assert any("wh: expected 2 channels, got 3" in issue for issue in result.issues)
+    issues = validation_issues(tensors, table)
+    assert any("wh: expected 2 channels, got 3" in issue for issue in issues)
 
 
 def test_nan_names_channel_and_cell(table):
     tensors = new_head_tensors(16, 16, 4)
     tensors.kp_heatmap[7, 3, 5] = np.nan
-    result = validate_head_tensors(tensors, table)
-    assert not result.ok
-    assert any("kp_heatmap" in issue and "channel 7" in issue and "(3, 5)" in issue for issue in result.issues)
+    issues = validation_issues(tensors, table)
+    assert issues
+    assert any("kp_heatmap" in issue and "channel 7" in issue and "(3, 5)" in issue for issue in issues)
 
 
 def test_inf_in_center_flagged(table):
     tensors = new_head_tensors(16, 16, 4)
     tensors.center[0, 0, 0] = np.inf
-    result = validate_head_tensors(tensors, table)
-    assert any("center" in issue and "non-finite" in issue for issue in result.issues)
+    issues = validation_issues(tensors, table)
+    assert any("center" in issue and "non-finite" in issue for issue in issues)
 
 
 @pytest.mark.parametrize("name, value", [("center", 1.25), ("kp_heatmap", -0.5)])
 def test_heatmap_value_outside_unit_range_flagged(table, name, value):
     tensors = new_head_tensors(16, 16, 4)
     getattr(tensors, name)[2, 3, 4] = value
-    result = validate_head_tensors(tensors, table)
-    assert result.issues == (f"{name}: value {value:g} outside [0, 1] at channel 2, cell (3, 4)",)
+    assert validation_issues(tensors, table) == [f"{name}: value {value:g} outside [0, 1] at channel 2, cell (3, 4)"]
 
 
 def test_heatmap_range_bounds_are_valid(table):
     tensors = new_head_tensors(16, 16, 4)
     tensors.center[0, 0, 0] = 1.0
     tensors.kp_heatmap[0, 0, 0] = 1.0
-    assert validate_head_tensors(tensors, table).ok
+    require_valid(tensors, table)
 
 
 def test_mismatched_spatial_dims(table):
@@ -101,8 +98,8 @@ def test_mismatched_spatial_dims(table):
         kp_heatmap=base.kp_heatmap,
         kp_refine_offset=base.kp_refine_offset,
     )
-    result = validate_head_tensors(tensors, table)
-    assert any("spatial dimensions differ" in issue for issue in result.issues)
+    issues = validation_issues(tensors, table)
+    assert any("spatial dimensions differ" in issue for issue in issues)
 
 
 def test_require_valid_raises_with_issues(table):
@@ -113,6 +110,10 @@ def test_require_valid_raises_with_issues(table):
     message = str(err.value)
     assert "center: expected 13 channels" in message
     assert "non-finite" in message
+    assert err.value.issues == [
+        "center: expected 13 channels, got 12",
+        "center: non-finite value at channel 0, cell (1, 1)",
+    ]
 
 
 def test_require_valid_passes_on_good_set(table):
@@ -131,7 +132,7 @@ def reference_heatmap_issues(tensors):
         elif lo < 0 or hi > 1:
             c, r, col = np.unravel_index(np.flatnonzero((grid < 0) | (grid > 1))[0], grid.shape)
             issues.append(f"{name}: value {grid[c, r, col]:g} outside [0, 1] at channel {c}, cell ({r}, {col})")
-    return tuple(issues)
+    return issues
 
 
 HEATMAP_VALUES = [np.nan, np.inf, -np.inf, -0.0, -0.5, -1e-45, 1.0, 1.0000001, 0.5, 1e-45, 5e-324]
@@ -156,4 +157,4 @@ def test_heatmap_issues_match_min_max_reference(table, dtype, planted):
     tensors = HeadTensorSet(stride=4, **{name: grid.astype(dtype) for name, grid in base.named().items()})
     for name, channel, row, col, value in planted:
         getattr(tensors, name)[channel, row, col] = value
-    assert validate_head_tensors(tensors, table).issues == reference_heatmap_issues(tensors)
+    assert validation_issues(tensors, table) == reference_heatmap_issues(tensors)

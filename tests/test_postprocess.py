@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from clothdet import (
     Detection,
     DecodeConfig,
-    FusionConfig,
     HeadTensorSet,
+    NoiseParams,
     SynthParams,
     TensorValidationError,
     decode_scene,
@@ -24,6 +24,7 @@ from clothdet import (
     iou,
     new_head_tensors,
     nms,
+    noisy_view_tensors,
     rescale_detections,
     synth_scenes,
     write_tensors,
@@ -92,20 +93,6 @@ class TestIou:
             warnings.simplefilter("error")
             got = iou(a, b)
         assert type(got) is float and same_float(got, unbatched_reference.iou(a, b))
-
-
-class TestFusionConfig:
-    @pytest.mark.parametrize("scales, message", [
-        ((), "scales must list at least one scale, got ()"),
-        ((float("nan"),), "scales must be positive and finite, got nan in (nan,)"),
-        ((1.0, float("inf")), "scales must be positive and finite, got inf in (1.0, inf)"),
-        ((1.0, -0.5), "scales must be positive and finite, got -0.5 in (1.0, -0.5)"),
-        ((0.0,), "scales must be positive and finite, got 0 in (0.0,)"),
-    ])
-    def test_bad_scales_rejected(self, scales, message):
-        with pytest.raises(ValueError) as exc:
-            FusionConfig(scales=scales)
-        assert str(exc.value) == message
 
 
 class TestNms:
@@ -409,6 +396,24 @@ class TestInfer:
         assert same_detections(got, decode_scene(fused, paired_table, self.CONFIG))
         report = evaluate({scene.image_id: got}, [scene], paired_table)
         assert report.box.map == 1.0
+
+    @pytest.mark.parametrize("width", [501, 509, 510])
+    def test_flip_fusion_is_exact_at_widths_off_the_stride(self, paired_table, width):
+        # Without noise, noisy_view_tensors is the encoder's view. Its mirrored
+        # view is the mirror of the stride-padded image, which flip_tensors undoes.
+        params = SynthParams(seed=7, num_images=8, image_width=width, image_height=512, avoid_cell_boundaries=True)
+        scenes = synth_scenes(params, paired_table)
+        clean = NoiseParams(peak_height_range=(1.0, 1.0), dropout_prob=0.0, duplicate_prob=0.0)
+        dets = {
+            s.image_id: infer(
+                [(1.0, noisy_view_tensors(s, paired_table, clean), noisy_view_tensors(s, paired_table, clean, flipped=True))],
+                paired_table, DecodeConfig(), 0.5,
+            )
+            for s in scenes
+        }
+        report = evaluate(dets, scenes, paired_table)
+        assert report.box.map == 1.0
+        assert [block.map for block in report.pt.values()] == [1.0, 1.0]
 
     def test_mirrored_shapes_checked_before_flipping(self, paired_table):
         plain = new_head_tensors(4, 4, 4)

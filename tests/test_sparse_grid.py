@@ -22,12 +22,13 @@ from clothdet import (
     flip_tensors,
     fuse_tensors,
     new_head_tensors,
+    require_valid,
     synth_scenes,
-    validate_head_tensors,
     write_tensors,
 )
 from clothdet.heads import HEATMAP_NAMES, _SparseGrid
 from clothdet.postprocess import infer
+from conftest import validation_issues
 
 # -0.0, two NaN payloads, two subnormals, a negative value, 1.0000001 and
 # ordinary scores.
@@ -113,7 +114,7 @@ def test_validation_issues_match_dense(table, center, kp, seed, extra):
         spread(rng, c_extra, 13).astype(bool) if extra else None,
         spread(rng, k_extra, 294).astype(bool) if extra else None,
     )
-    assert validate_head_tensors(sparse, table) == validate_head_tensors(dense, table)
+    assert validation_issues(sparse, table) == validation_issues(dense, table)
 
 
 def peak_key(peaks):
@@ -244,7 +245,7 @@ def test_encoder_tensors_are_never_scattered(table, paired_table, tmp_path, monk
     for scene, (decoded, fused, written) in cases:
         plain, mirrored = encode_scene(scene, table), encode_scene(scene, table)
         assert all(isinstance(grid, _SparseGrid) for grid in plain.named().values())
-        assert validate_head_tensors(plain, table).ok
+        require_valid(plain, table)
         assert same_detections(decode_scene(plain, table), decoded)
         assert same_detections(infer([(1.0, plain, mirrored)], paired_table, config, None), fused)
         write_tensors(tmp_path / "got.dmrk", plain)
