@@ -11,21 +11,35 @@ default threshold of 0, those are the nonzero cells plus each channel's
 cell (0, 0): a zero cell is never strictly greater than a preceding
 neighbor, and (0, 0) is the only cell with none, so it is a peak only when
 its successors are zero too. For the keypoint heatmaps they are the cells
-at or above the threshold. Dense candidate sets take a full-grid
+at or above the threshold. decode_scene finds those in a dense float32
+heatmap through the bit fold that validation computed (`heads._bit_fold`),
+comparing only the cells of the fold columns that reach the threshold, so
+the heatmap is read once per decode. Dense candidate sets take a full-grid
 comparison instead. A heatmap held as a `heads._SparseGrid` finds its
 candidates among its listed cells and its neighbor values by binary search,
-without being scattered. Coarse keypoints and snapping run for all peaks in
-one vectorised pass.
+without being scattered. The top_k center peaks are picked before they are
+sorted. Coarse keypoints and snapping run for all peaks in one vectorised
+pass.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .categories import TOTAL_KEYPOINTS, CategoryTable
-from .heads import HeadTensorSet, TensorValidationError, _heatmap_issue, _SparseGrid, _take, require_valid
+from .heads import (
+    HeadTensorSet,
+    TensorValidationError,
+    _bit_fold,
+    _heatmap_issue,
+    _shape_issues,
+    _SparseGrid,
+    _take,
+    require_valid,
+)
 from .scene import Detection
 
 # Neighbor offsets that precede a cell in row-major order require a strict
@@ -46,8 +60,8 @@ class DecodeConfig:
     snap_box_margin: float = 1.0
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        if not isinstance(self.top_k, numbers.Integral) or self.top_k < 1:
+            raise ValueError(f"top_k must be an integer >= 1, got {self.top_k!r}")
         if not 0 <= self.min_center_score <= 1 or not 0 <= self.min_kp_candidate_score <= 1:
             raise ValueError("score thresholds must lie in [0, 1]")
         if self.snap_box_margin < 1.0:
@@ -61,7 +75,9 @@ class Peak:
     score: float
 
 
-def _peak_arrays(stack, min_score: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _peak_arrays(
+    stack, min_score: float, fold: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All peak cells of a (C, H, W) array or `_SparseGrid` with score >= min_score.
 
     A cell is a peak iff its value is >= every 8-neighbor and strictly
@@ -73,9 +89,11 @@ def _peak_arrays(stack, min_score: float) -> tuple[np.ndarray, np.ndarray, np.nd
     cell is never strictly greater than a preceding neighbor; only cell
     (0, 0) of a channel has none, and it is a peak iff its successors are
     zero too. So the candidates are the nonzero cells plus each channel's
-    cell (0, 0). Otherwise they are the cells with score >= min_score. Above
-    _DENSE_FRACTION of the stack one full-grid comparison checks them;
-    below it each candidate's neighbors are gathered by flat-index offsets.
+    cell (0, 0). Otherwise they are the cells with score >= min_score,
+    found through `fold`, the stack's bit fold (see _fold_candidates), when
+    one is given. Above _DENSE_FRACTION of the stack one full-grid
+    comparison checks them; below it each candidate's neighbors are
+    gathered by flat-index offsets.
 
     A `_SparseGrid` finds its candidates among its listed cells and reads
     neighbors through its binary search. It is scattered into an array only
@@ -98,6 +116,8 @@ def _peak_arrays(stack, min_score: float) -> tuple[np.ndarray, np.ndarray, np.nd
         # is nonzero, so it would be among the candidates.
         if not (data[flat] >= 0).all():
             flat = None
+    elif fold is not None:
+        flat = _fold_candidates(data, fold, min_score)
     if flat is None:
         above = stack >= min_score
         flat = np.flatnonzero(above)
@@ -116,6 +136,28 @@ def _peak_arrays(stack, min_score: float) -> tuple[np.ndarray, np.ndarray, np.nd
         chan, row, col = np.nonzero(keep)
         return chan, row, col, stack[chan, row, col]
     return _check_candidates(flat, data.__getitem__, stack.shape)
+
+
+def _fold_candidates(data: np.ndarray, fold: np.ndarray, min_score: float) -> np.ndarray | None:
+    """The ascending int64 cells of the flat float32 stack `data` with value >= min_score.
+
+    `fold` is the stack's bit fold: the max over K rows of the uint32 bits
+    of data.reshape(K, -1). Only the K cells of each fold column whose max
+    reaches the bits of one ulp below float32(min_score) are compared. On
+    non-negative floats bit order is value order, so those columns hold
+    every cell that numpy's `>= min_score` admits, whether it compares in
+    float32 (a Python float) or in float64 (a NumPy float64). Negative
+    values, -0.0 and NaN have larger bits still, and the comparison drops
+    them. None when the columns' cells exceed _DENSE_FRACTION of the stack.
+    """
+    rows = data.size // fold.size
+    floor = max(int(np.float32(min_score).view(np.uint32)) - 1, 0)
+    hit = np.flatnonzero(fold >= floor)
+    if rows * hit.size > _DENSE_FRACTION * data.size:
+        return None
+    # Row-major, row k's cells k * columns + hit are all below row k + 1's: ascending.
+    flat = (np.arange(rows)[:, None] * fold.size + hit).reshape(-1)
+    return flat[data[flat] >= min_score]
 
 
 def _sparse_candidates(grid: _SparseGrid, min_score: float) -> np.ndarray | None:
@@ -166,10 +208,13 @@ def extract_peaks(heatmap_stack: np.ndarray, k: int | None, min_score: float) ->
     if not isinstance(heatmap_stack, _SparseGrid):
         heatmap_stack = np.asarray(heatmap_stack)
     chan, row, col, score = _peak_arrays(heatmap_stack, min_score)
+    key = -score.astype(np.float64)
+    order = np.arange(key.size)
+    if k is not None and k < key.size:
+        # Only peaks not below the k-th score can be among the top k.
+        order = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
     # Stable, so equal scores keep the (channel, row, col) order of the peaks.
-    order = np.argsort(-score.astype(np.float64), kind="stable")
-    if k is not None:
-        order = order[:k]
+    order = order[np.argsort(key[order], kind="stable")][:k]
     return [
         Peak(channel=int(chan[i]), cell=(int(row[i]), int(col[i])), score=float(score[i]))
         for i in order
@@ -207,9 +252,17 @@ def _require_finite(values: np.ndarray, name: str, channel, row, col) -> None:
     raise TensorValidationError([f"{name}: non-finite value at channel {c}, cell ({r}, {x})"])
 
 
-def extract_keypoint_candidates(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> KeypointCandidates:
-    """Peaks of every keypoint heatmap channel, refined by the offset channels."""
-    chan, row, col, score = _peak_arrays(tensors.kp_heatmap, config.min_kp_candidate_score)
+def extract_keypoint_candidates(
+    tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig(), *, fold: np.ndarray | None = None
+) -> KeypointCandidates:
+    """Peaks of every keypoint heatmap channel, refined by the offset channels.
+
+    `fold` is the bit fold of `kp_heatmap` that require_valid returns;
+    without it the fold is computed here.
+    """
+    if fold is None:
+        fold = _bit_fold(tensors.kp_heatmap)
+    chan, row, col, score = _peak_arrays(tensors.kp_heatmap, config.min_kp_candidate_score, fold)
     channel = np.arange(2)[:, None]
     refine = _take(tensors.kp_refine_offset, channel, row, col).astype(np.float64)
     _require_finite(refine, "kp_refine_offset", channel, row, col)
@@ -312,12 +365,17 @@ def decode_detections(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfi
     """Box-only decoding: center peaks to scored category boxes in pixels.
 
     Raises:
-        TensorValidationError: for the center values that decode_scene
-            rejects, or a non-finite regression value read at a peak.
+        TensorValidationError: for a `center` that is not 3-d, a `wh` or
+            `center_offset` without 2 channels on `center`'s cells, a stride
+            below 1, the center values that decode_scene rejects, or a
+            non-finite regression value read at a peak.
     """
+    issues = _shape_issues(tensors, {"center": None, "wh": 2, "center_offset": 2})
     issue = _heatmap_issue("center", tensors.center)
     if issue is not None:
-        raise TensorValidationError([issue])
+        issues.append(issue)
+    if issues:
+        raise TensorValidationError(issues)
     peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
     _, rows, cols = _peak_cells(peaks)
     boxes = _boxes(tensors, rows, cols)
@@ -346,11 +404,11 @@ def decode_scene(
         TensorValidationError: when validation fails, or when a regression
             value read at a peak or candidate cell is not finite.
     """
-    require_valid(tensors, table)
+    folds = require_valid(tensors, table)
     peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
     chan, rows, cols = _peak_cells(peaks)
     boxes = _boxes(tensors, rows, cols)
-    cands = extract_keypoint_candidates(tensors, config)
+    cands = extract_keypoint_candidates(tensors, config, fold=folds["kp_heatmap"])
     if not peaks:
         return []
     stride = tensors.stride

@@ -24,8 +24,11 @@ the cells read. Grids are read-only: a caller that edits a tensor takes
 
 `require_valid` is the one validation entry point: it checks channel
 counts, spatial dims, stride and heatmap values, and raises
-`TensorValidationError` with every issue found. `require_shapes` is its
-shape part alone.
+`TensorValidationError` with every issue found. It bounds a dense float32
+heatmap through the bit fold of `_bit_fold`, the column maxima of its bits
+folded a few dozen ways, and returns the folds so that decode finds the
+landmark peak candidates without a second pass over the heatmap.
+`require_shapes` is its shape part alone.
 """
 
 from __future__ import annotations
@@ -177,19 +180,22 @@ def _channel_counts(num_categories: int) -> dict[str, int]:
     }
 
 
-def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
-    """Issues with channel counts, spatial dims and stride; reads no values."""
+def _shape_issues(tensors: HeadTensorSet, expected: dict[str, int | None]) -> list[str]:
+    """Issues with the channel counts, spatial dims and stride of the tensors named in `expected`; reads no values.
+
+    `expected` maps each tensor name to its channel count, or to None when
+    any count is accepted.
+    """
     issues: list[str] = []
-    expected = _channel_counts(len(table.specs))
     shapes = {}
-    for name in TENSOR_NAMES:
+    for name, channels in expected.items():
         grid = getattr(tensors, name)
         if not isinstance(grid, (np.ndarray, _LazyGrid)) or grid.ndim != 3:
             issues.append(f"{name}: expected a 3-d [C][H][W] array")
             continue
         shapes[name] = grid.shape
-        if grid.shape[0] != expected[name]:
-            issues.append(f"{name}: expected {expected[name]} channels, got {grid.shape[0]}")
+        if channels is not None and grid.shape[0] != channels:
+            issues.append(f"{name}: expected {channels} channels, got {grid.shape[0]}")
 
     spatial = {shape[1:] for shape in shapes.values()}
     if len(spatial) > 1:
@@ -204,25 +210,50 @@ def _shape_issues(tensors: HeadTensorSet, table: CategoryTable) -> list[str]:
 # The bits of float32 1.0; no other float32 in [+0.0, 1] has larger bits.
 _ONE_BITS = 0x3F800000
 
+# The most rows _bit_fold folds a heatmap into. Decode checks every row's
+# cell in each column that a landmark candidate hits, so the work after the
+# fold grows with the rows and the columns shrink with them: on 512x512
+# views with about a thousand landmark cells above 0.1, folds of 21 to 64
+# rows cost the least.
+_FOLD_ROWS = 48
 
-def _heatmap_issue(name: str, grid) -> str | None:
+
+def _bit_fold(grid) -> np.ndarray | None:
+    """Column maxima of a dense float32 heatmap's bits, or None for any other grid.
+
+    The N values, read as uint32 in C order, are reshaped to (K, N / K) and
+    reduced with max(axis=0), K being the largest divisor of N that is at
+    most _FOLD_ROWS. The fold's max is the max of all the bits, and cell
+    i lies in column i % (N / K). A sparse grid, another dtype or an empty
+    grid has no fold.
+    """
+    if not (isinstance(grid, np.ndarray) and grid.ndim == 3 and grid.dtype == np.float32 and grid.size):
+        return None
+    rows = next(k for k in range(min(_FOLD_ROWS, grid.size), 0, -1) if grid.size % k == 0)
+    return grid.view(np.uint32).reshape(rows, -1).max(axis=0)
+
+
+def _heatmap_issue(name: str, grid, fold: np.ndarray | None = None) -> str | None:
     """The located issue with heatmap `name`'s values, or None when all are finite and in [0, 1].
 
     Heatmap values must be finite and lie in [0, 1], since decode reports
     them as scores. A float32 heatmap is checked with one max() over its
-    bits read as uint32: +0.0 is 0 and 1.0 is 0x3F800000, every value in
-    (0, 1] lies between, and -0.0, negative values, infinities and NaN all
-    lie above. A heatmap held as a `_SparseGrid` is checked over its listed
-    values alone, since every other value is +0.0. A larger maximum, or
-    another dtype, falls back to a scan that accepts -0.0 and locates the
-    first bad cell for the message. A grid that is not a 3-d array or
-    `_SparseGrid` has no values to check here.
+    bits read as uint32, or over its bit fold `fold` (see _bit_fold) when
+    given: +0.0 is 0 and 1.0 is 0x3F800000, every value in (0, 1] lies
+    between, and -0.0, negative values, infinities and NaN all lie above. A
+    heatmap held as a `_SparseGrid` is checked over its listed values alone,
+    since every other value is +0.0. A larger maximum, or another dtype,
+    falls back to a scan that accepts -0.0 and locates the first bad cell
+    for the message. A grid that is not a 3-d array or `_SparseGrid` has no
+    values to check here.
     """
     sparse = isinstance(grid, _SparseGrid)
     if not (sparse or isinstance(grid, np.ndarray) and grid.ndim == 3):
         return None
     values = grid.values if sparse else grid
-    if not values.size or values.dtype == np.float32 and values.view(np.uint32).max() <= _ONE_BITS:
+    if fold is None and values.dtype == np.float32:
+        fold = values.view(np.uint32)  # the bits themselves: a fold of one row
+    if not values.size or fold is not None and fold.max() <= _ONE_BITS:
         return None
     lo, hi = values.min(), values.max()
     finite = np.isfinite(lo) and np.isfinite(hi)
@@ -236,24 +267,32 @@ def _heatmap_issue(name: str, grid) -> str | None:
     return f"{name}: non-finite value at channel {c}, cell ({r}, {col})"
 
 
-def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> None:
+def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> dict[str, np.ndarray | None]:
     """Check channel counts, consistent spatial dims, stride and heatmap values (see _heatmap_issue).
+
+    Returns:
+        The bit fold of `center` and of `kp_heatmap` (see _bit_fold), by
+        name: None for a sparse, non-float32 or malformed heatmap.
 
     Raises:
         TensorValidationError: listing every issue found in `.issues`, the
             shape issues first, then those of `center` and `kp_heatmap`.
     """
-    issues = _shape_issues(tensors, table)
+    issues = _shape_issues(tensors, _channel_counts(len(table.specs)))
+    folds = {}
     for name in HEATMAP_NAMES:
-        issue = _heatmap_issue(name, getattr(tensors, name))
+        grid = getattr(tensors, name)
+        folds[name] = _bit_fold(grid)
+        issue = _heatmap_issue(name, grid, folds[name])
         if issue is not None:
             issues.append(issue)
     if issues:
         raise TensorValidationError(issues)
+    return folds
 
 
 def require_shapes(tensors: HeadTensorSet, table: CategoryTable) -> None:
     """The shape part of require_valid, for callers that transform a set before decoding it."""
-    issues = _shape_issues(tensors, table)
+    issues = _shape_issues(tensors, _channel_counts(len(table.specs)))
     if issues:
         raise TensorValidationError(issues)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clothdet.decode
+import clothdet.heads
 from clothdet import (
     DecodeConfig,
     HeadTensorSet,
@@ -21,6 +22,7 @@ from clothdet import (
     new_head_tensors,
     synth_scenes,
 )
+from clothdet.categories import TOTAL_KEYPOINTS
 from clothdet.heads import _SparseGrid
 from clothdet.scene import translate_scene
 
@@ -42,6 +44,10 @@ def coarse_keypoints(tensors, table, cell, category):
 def test_config_validation():
     with pytest.raises(ValueError):
         DecodeConfig(top_k=0)
+    for top_k in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="top_k"):
+            DecodeConfig(top_k=top_k)
+    assert DecodeConfig(top_k=np.int64(3)).top_k == 3
     with pytest.raises(ValueError):
         DecodeConfig(min_center_score=1.5)
     with pytest.raises(ValueError):
@@ -165,6 +171,31 @@ def test_both_decoders_reject_the_same_center_value(table, value, message, spars
         with pytest.raises(TensorValidationError) as caught:
             decode()
         assert caught.value.issues == [message]
+
+
+def box_tensors(center_shape=(13, 8, 8), wh_shape=(2, 8, 8), stride=4):
+    """A set with one center peak at channel 0, cell (6, 6), and the given center, wh and stride."""
+    base = new_head_tensors(8, 8, 4)
+    center = np.zeros(center_shape, dtype=np.float32)
+    center[(0,) * (center.ndim - 2) + (6, 6)] = 0.9
+    return dataclasses.replace(base, stride=stride, center=center, wh=np.ones(wh_shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("tensors, issues", [
+    (box_tensors(center_shape=(8, 8)), ["center: expected a 3-d [C][H][W] array"]),
+    (box_tensors(wh_shape=(2, 4, 4)), ["spatial dimensions differ across tensors: center 8x8, wh 4x4, center_offset 8x8"]),
+    (box_tensors(wh_shape=(3, 8, 8)), ["wh: expected 2 channels, got 3"]),
+    (box_tensors(stride=0), ["stride must be >= 1, got 0"]),
+], ids=["2-d center", "small wh", "wh channels", "stride"])
+def test_decode_detections_rejects_malformed_shapes(tensors, issues):
+    with pytest.raises(TensorValidationError) as caught:
+        decode_detections(tensors)
+    assert caught.value.issues == issues
+
+
+def test_decode_detections_accepts_any_center_channel_count():
+    dets = decode_detections(box_tensors(center_shape=(3, 8, 8)), DecodeConfig(min_center_score=0.5))
+    assert [(d.category_id, d.score) for d in dets] == [(1, np.float32(0.9))]
 
 
 def test_coarse_keypoints_zero_offsets(table):
@@ -403,9 +434,15 @@ def reference_extract_peaks(stack, k, min_score):
     return [Peak(channel=int(chan[i]), cell=(int(row[i]), int(col[i])), score=float(score[i])) for i in order]
 
 
-PEAK_VALUES = st.sampled_from([0.5, 0.25, 1.0, 0.1, -0.0, np.nan, -0.5, -np.inf, np.inf, 5e-324, 1e-45, 1e-40]) | st.floats(
-    0, 1, width=32
-)
+def float32_ulps(value):
+    """float32(value) and its float32 neighbors, one ulp below and above."""
+    at = np.float32(value)
+    return [float(np.nextafter(at, np.float32(0))), float(at), float(np.nextafter(at, np.float32(1)))]
+
+
+PEAK_VALUES = st.sampled_from(
+    [0.5, 0.25, 1.0, -0.0, np.nan, -0.5, -np.inf, np.inf, 5e-324, 1e-45, 1e-40, *float32_ulps(0.1), *float32_ulps(0.7)]
+) | st.floats(0, 1, width=32)
 
 
 @st.composite
@@ -425,7 +462,14 @@ def peak_stacks(draw):
         # One random dense channel, so that both paths are taken.
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         stack[draw(st.integers(0, channels - 1))] = rng.random((height, width)).round(1)
-    return stack
+    return strided(stack) if draw(st.booleans()) else stack
+
+
+def strided(array):
+    """The same values, every other float of a wider array: not contiguous."""
+    wide = np.zeros((*array.shape[:-1], 2 * array.shape[-1]), dtype=array.dtype)
+    wide[..., ::2] = array
+    return wide[..., ::2]
 
 
 def assert_same_peak_arrays(got, want):
@@ -435,16 +479,90 @@ def assert_same_peak_arrays(got, want):
     np.testing.assert_array_equal(got[3].view(np.uint8), want[3].view(np.uint8))
 
 
-@given(stack=peak_stacks(), min_score=st.sampled_from([0.0, -0.0, -0.25, -np.inf, 0.1, 0.25, 0.5, 1e-45]), k=st.integers(1, 4))
+# Fold row limits small enough that the small stacks below fold.
+FOLD_ROWS = st.sampled_from([1, 2, 3, 4, 6])
+# The automatic path switch, then each path forced.
+DENSE_FRACTIONS = (clothdet.decode._DENSE_FRACTION, 1.1, 0.0)
+
+
+@given(
+    stack=peak_stacks(),
+    min_score=st.sampled_from([0.0, -0.0, -0.25, -np.inf, 0.1, 0.25, 0.5, 0.7, np.float64(0.7), 1e-45]),
+    k=st.integers(1, 4),
+    fold_rows=FOLD_ROWS,
+)
 @settings(max_examples=400, derandomize=True, deadline=None)
-def test_peaks_match_full_grid_reference(stack, min_score, k):
+def test_peaks_match_full_grid_reference(stack, min_score, k, fold_rows):
     want = reference_peak_arrays(stack, min_score)
-    # The automatic path switch, then each path forced.
-    for fraction in (clothdet.decode._DENSE_FRACTION, 1.1, 0.0):
+    with mock.patch.object(clothdet.heads, "_FOLD_ROWS", fold_rows):
+        fold = clothdet.heads._bit_fold(stack)
+    assert (fold is not None) == (stack.dtype == np.float32 and stack.size > 0)
+    for fraction in DENSE_FRACTIONS:
         with mock.patch.object(clothdet.decode, "_DENSE_FRACTION", fraction):
-            assert_same_peak_arrays(clothdet.decode._peak_arrays(stack, min_score), want)
+            for given_fold in (None, fold):
+                assert_same_peak_arrays(clothdet.decode._peak_arrays(stack, min_score, given_fold), want)
             assert extract_peaks(stack, None, min_score) == reference_extract_peaks(stack, None, min_score)
             assert extract_peaks(stack, k, min_score) == reference_extract_peaks(stack, k, min_score)
+
+
+@pytest.mark.parametrize("min_score", [0.1, 0.7, np.float64(0.7), 1e-45], ids=repr)
+@pytest.mark.parametrize("fold_rows", [1, 4, 48])
+@pytest.mark.parametrize("fraction", DENSE_FRACTIONS)
+def test_fold_keeps_the_cells_at_the_threshold(min_score, fold_rows, fraction):
+    # Isolated peaks one ulp below, at and one ulp above float32(min_score):
+    # numpy's >= admits the middle one for a Python float, not for a float64.
+    stack = np.zeros((6, 8, 8), dtype=np.float32)
+    for channel, value in enumerate(float32_ulps(min_score) + [-0.0, np.nan, 1.0]):
+        stack[channel, 2 + channel % 3, 5 - channel % 4] = value
+    with mock.patch.object(clothdet.heads, "_FOLD_ROWS", fold_rows):
+        fold = clothdet.heads._bit_fold(stack)
+    with mock.patch.object(clothdet.decode, "_DENSE_FRACTION", fraction):
+        got = clothdet.decode._peak_arrays(stack, min_score, fold)
+    want = reference_peak_arrays(stack, min_score)
+    assert_same_peak_arrays(got, want)
+    # The middle cell is a peak exactly when the comparison is in float32.
+    assert (np.float32(min_score).view(np.uint32) in want[3].view(np.uint32)) == (type(min_score) is float)
+
+
+def keypoint_tensors(stack):
+    """A set whose kp_heatmap holds `stack` in its first channels and zeros after, in its dtype and layout."""
+    channels, height, width = stack.shape
+    kp = np.zeros((TOTAL_KEYPOINTS, height, width), dtype=stack.dtype)
+    kp[:channels] = stack
+    kp = kp if stack.flags.c_contiguous else strided(kp)
+    return dataclasses.replace(new_head_tensors(height, width, 4), kp_heatmap=kp)
+
+
+@given(
+    stack=peak_stacks(),
+    min_score=st.sampled_from([0.0, 0.1, 0.7, np.float64(0.7), 1e-45]),
+    fold_rows=FOLD_ROWS,
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_keypoint_candidates_match_full_grid_reference(stack, min_score, fold_rows):
+    tensors = keypoint_tensors(stack)
+    chan, row, col, score = reference_peak_arrays(tensors.kp_heatmap, min_score)
+    config = DecodeConfig(min_kp_candidate_score=min_score)
+    with mock.patch.object(clothdet.heads, "_FOLD_ROWS", fold_rows):
+        fold = clothdet.heads._bit_fold(tensors.kp_heatmap)
+        for fraction in DENSE_FRACTIONS:
+            with mock.patch.object(clothdet.decode, "_DENSE_FRACTION", fraction):
+                for cands in (extract_keypoint_candidates(tensors, config), extract_keypoint_candidates(tensors, config, fold=fold)):
+                    np.testing.assert_array_equal(cands.channel, chan)
+                    np.testing.assert_array_equal(cands.x.view(np.uint64), (col + 0.0).view(np.uint64))
+                    np.testing.assert_array_equal(cands.y.view(np.uint64), (row + 0.0).view(np.uint64))
+                    np.testing.assert_array_equal(cands.confidence.view(np.uint64), score.astype(np.float64).view(np.uint64))
+                    np.testing.assert_array_equal(cands.starts, np.searchsorted(chan, np.arange(TOTAL_KEYPOINTS + 1)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)), k=st.integers(1, 40))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_top_k_matches_full_sort_with_ties(seed, shape, k):
+    # Few distinct levels, so many peaks tie at the k-th score.
+    rng = np.random.default_rng(seed)
+    stack = rng.choice(np.array([0.0, 0.2, 0.5, 0.9], dtype=np.float32), shape, p=[0.4, 0.3, 0.2, 0.1])
+    for min_score in (0.0, 0.1):
+        assert extract_peaks(stack, k, min_score) == reference_extract_peaks(stack, k, min_score)
 
 
 def test_zero_channel_peaks_only_at_origin():

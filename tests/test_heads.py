@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from clothdet import (
     new_head_tensors,
     require_valid,
 )
-from clothdet.heads import TENSOR_NAMES
+from clothdet.heads import TENSOR_NAMES, _bit_fold, _SparseGrid
 from conftest import validation_issues
 
 
@@ -135,26 +137,48 @@ def reference_heatmap_issues(tensors):
     return issues
 
 
-HEATMAP_VALUES = [np.nan, np.inf, -np.inf, -0.0, -0.5, -1e-45, 1.0, 1.0000001, 0.5, 1e-45, 5e-324]
+HEATMAP_VALUES = [np.nan, np.inf, -np.inf, -0.0, -0.5, -1e-45, 1.0, 1.0000001, 1.5, 0.5, 1e-45, 5e-324]
+# A channel of 13 and a cell of 4x5, or the first or last cell of the heatmap.
+PLANTED_CELLS = st.tuples(st.integers(0, 12), st.integers(0, 3), st.integers(0, 4)) | st.sampled_from(["first", "last"])
 
 
 @given(
     dtype=st.sampled_from([np.float32, np.float64]),
     planted=st.lists(
-        st.tuples(
-            st.sampled_from(["center", "kp_heatmap"]),
-            st.integers(0, 12),
-            st.integers(0, 3),
-            st.integers(0, 4),
-            st.sampled_from(HEATMAP_VALUES),
-        ),
+        st.tuples(st.sampled_from(["center", "kp_heatmap"]), PLANTED_CELLS, st.sampled_from(HEATMAP_VALUES)),
         max_size=3,
     ),
 )
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 def test_heatmap_issues_match_min_max_reference(table, dtype, planted):
+    # 294x4x5 and 13x4x5 heatmaps fold 42 and 26 ways.
     base = new_head_tensors(4, 5, 4)
     tensors = HeadTensorSet(stride=4, **{name: grid.astype(dtype) for name, grid in base.named().items()})
-    for name, channel, row, col, value in planted:
-        getattr(tensors, name)[channel, row, col] = value
+    for name, cell, value in planted:
+        grid = getattr(tensors, name)
+        if isinstance(cell, str):
+            cell = np.unravel_index({"first": 0, "last": grid.size - 1}[cell], grid.shape)
+        grid[cell] = value
     assert validation_issues(tensors, table) == reference_heatmap_issues(tensors)
+    for name in ("center", "kp_heatmap"):
+        grid = getattr(tensors, name)
+        fold = _bit_fold(grid)
+        if dtype is np.float32:
+            assert fold.size < grid.size and fold.max() == grid.view(np.uint32).max()
+        else:
+            assert fold is None
+
+
+def test_require_valid_returns_the_heatmap_folds(table):
+    tensors = new_head_tensors(4, 5, 4)
+    tensors.kp_heatmap[293, 3, 4] = 0.75
+    folds = require_valid(tensors, table)
+    assert list(folds) == ["center", "kp_heatmap"]
+    assert folds["kp_heatmap"].shape == (294 * 4 * 5 // 42,)
+    assert folds["kp_heatmap"][-1] == np.float32(0.75).view(np.uint32)
+    assert not folds["center"].any()
+    flat = np.flatnonzero(tensors.kp_heatmap)
+    sparse = _SparseGrid(tensors.kp_heatmap.shape, flat, tensors.kp_heatmap.reshape(-1)[flat])
+    for kp_heatmap in (sparse, tensors.kp_heatmap.astype(np.float64)):
+        folds = require_valid(dataclasses.replace(tensors, kp_heatmap=kp_heatmap), table)
+        assert folds["kp_heatmap"] is None and folds["center"] is not None
