@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -52,9 +53,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# CategoryTable is frozen with read-only arrays, so calls in one process can
+# share the table of a --categories text. A failed parse is not cached. This
+# pays only when main() runs more than once in a process (an embedding
+# harness); a shell command parses its file once either way.
+_parsed_table = functools.lru_cache(maxsize=8)(load_category_table)
+
+
 def _load_table(args) -> CategoryTable:
     if getattr(args, "categories", None):
-        return load_category_table(Path(args.categories).read_text("utf-8"))
+        # The file is read on every call, so an edited file takes effect.
+        return _parsed_table(Path(args.categories).read_text("utf-8"))
     return default_table()
 
 

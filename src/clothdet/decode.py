@@ -64,7 +64,7 @@ class DecodeConfig:
             raise ValueError(f"top_k must be an integer >= 1, got {self.top_k!r}")
         if not 0 <= self.min_center_score <= 1 or not 0 <= self.min_kp_candidate_score <= 1:
             raise ValueError("score thresholds must lie in [0, 1]")
-        if self.snap_box_margin < 1.0:
+        if not self.snap_box_margin >= 1.0:
             raise ValueError(f"snap_box_margin must be >= 1.0, got {self.snap_box_margin}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,12 @@ class EncodeParams:
     keypoint_radius_scale: float = 1.0
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, got {self.stride!r}")
         if not 0 < self.min_overlap < 1:
             raise ValueError(f"min_overlap must be in (0, 1), got {self.min_overlap}")
-        if self.keypoint_radius_scale <= 0:
-            raise ValueError("keypoint_radius_scale must be positive")
+        if not (math.isfinite(self.keypoint_radius_scale) and self.keypoint_radius_scale > 0):
+            raise ValueError(f"keypoint_radius_scale must be positive and finite, got {self.keypoint_radius_scale}")
 
 
 def gaussian_radius(box_w_cells: float, box_h_cells: float, min_overlap: float) -> float:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 import sys
 from itertools import chain
@@ -578,17 +579,65 @@ def read_detections(path) -> dict[str, list[Detection]]:
     return read if read is not None else _detections_per_object(doc["detections"])
 
 
+# json.dumps with an indent runs json's pure-Python encoder, one call per
+# value. write_detections builds the same text itself: list repr formats
+# floats with float.__repr__, json's own float format, and this encoder (no
+# indent, so json's C path) writes the scalars with json's escaping and
+# TypeErrors.
+_SCALARS = json.JSONEncoder(allow_nan=False)
+
+
+def _out_of_range(value) -> ValueError:
+    """The ValueError json's pure-Python encoder raises for a non-finite float."""
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _scalar_text(value) -> str:
+    # The C encoder's message for a non-finite float lacks the value.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _out_of_range(value)
+    return _SCALARS.encode(value)
+
+
+def _floats_text(values: list) -> str:
+    """A list of Python floats as json.dumps(..., indent=2) prints it inside a detection."""
+    if not values:
+        return "[]"
+    # A sum of finite floats is finite or overflows to inf, so a finite sum
+    # clears every value and only an infinite or NaN sum needs the scan.
+    if not math.isfinite(sum(values)):
+        for value in values:
+            if not math.isfinite(value):
+                raise _out_of_range(value)
+    return "[\n        " + repr(values)[1:-1].replace(", ", ",\n        ") + "\n      ]"
+
+
+def _detection_text(image_id, det: Detection) -> str:
+    # The fields in sorted key order, each checked when json would reach it.
+    box = _floats_text(det.box.tolist())
+    category = _scalar_text(det.category_id)
+    image = _scalar_text(image_id)
+    landmarks = _floats_text(det.landmarks.reshape(-1).tolist())
+    score = _scalar_text(det.score)
+    return (
+        f'{{\n      "bbox": {box},\n      "category_id": {category},\n      "image_id": {image},\n'
+        f'      "landmarks": {landmarks},\n      "score": {score}\n    }}'
+    )
+
+
 def write_detections(path, detections_by_image: dict[str, list[Detection]]) -> None:
-    rows = []
-    for image_id in sorted(detections_by_image):
-        for det in detections_by_image[image_id]:
-            rows.append(
-                {
-                    "image_id": image_id,
-                    "category_id": det.category_id,
-                    "score": det.score,
-                    "bbox": det.box.tolist(),
-                    "landmarks": det.landmarks.reshape(-1).tolist(),
-                }
-            )
-    Path(path).write_text(json.dumps({"detections": rows}, indent=2, sort_keys=True, allow_nan=False), "utf-8")
+    """Write {"detections": [...]}, images in sorted id order, each image's detections in list order.
+
+    The text is exactly json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) of that document, and the errors are json's: a
+    ValueError for a non-finite value, a TypeError for a value of no JSON
+    type. Image ids are strings or integers; boxes and landmarks are the
+    float64 arrays Detection holds.
+    """
+    rows = [
+        _detection_text(image_id, det)
+        for image_id in sorted(detections_by_image)
+        for det in detections_by_image[image_id]
+    ]
+    listed = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    Path(path).write_text('{\n  "detections": ' + listed + "\n}", "utf-8")

@@ -11,6 +11,7 @@ only visible landmarks, or visible and occluded ones.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Mapping, Sequence
@@ -45,8 +46,8 @@ class EvalConfig:
             raise ValueError(f"thresholds must be strictly increasing within (0, 1], got {t}")
         if self.visibility_mode is not None and self.visibility_mode not in VISIBILITY_MODES:
             raise ValueError(f"unknown visibility mode {self.visibility_mode!r}")
-        if self.max_detections_per_image < 1:
-            raise ValueError("max_detections_per_image must be >= 1")
+        if not isinstance(self.max_detections_per_image, numbers.Integral) or self.max_detections_per_image < 1:
+            raise ValueError(f"max_detections_per_image must be an integer >= 1, got {self.max_detections_per_image!r}")
 
 
 def _counted(visibility: np.ndarray, visibility_mode: str) -> np.ndarray:

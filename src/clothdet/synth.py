@@ -14,6 +14,7 @@ still regresses sensibly where its center heatmap under-fires.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 
@@ -82,12 +83,12 @@ class SynthParams:
             raise ValueError("box size range must be positive and ordered")
         if self.image_width <= self.max_box_size or self.image_height <= self.max_box_size:
             raise ValueError("image must be larger than max_box_size")
-        if self.keypoint_scatter <= 0:
-            raise ValueError("keypoint_scatter must be positive")
+        if not self.keypoint_scatter > 0:
+            raise ValueError(f"keypoint_scatter must be positive, got {self.keypoint_scatter}")
         if self.min_visible < 0:
             raise ValueError("min_visible must be non-negative")
-        if self.stride < 1 or not 0 < self.min_overlap < 1:
-            raise ValueError("stride must be >= 1 and min_overlap in (0, 1)")
+        if not isinstance(self.stride, numbers.Integral) or self.stride < 1 or not 0 < self.min_overlap < 1:
+            raise ValueError("stride must be an integer >= 1 and min_overlap in (0, 1)")
 
 
 def _cell_of(v: float, stride: int, limit: int) -> int:

@@ -146,6 +146,50 @@ class TestEncodeDecode:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_decode_rejects_nan_snap_margin(self, workspace, tmp_path, capsys):
+        out = tmp_path / "dets.json"
+        assert main(["decode", "--tensors", str(workspace / "tensors"), "--out", str(out), "--snap-margin", "nan"]) == 2
+        assert "error: snap_box_margin must be >= 1.0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_categories_file_is_read_on_every_call(self, workspace, tmp_path, table, capsys):
+        # The first two landmarks of every category mirror each other.
+        pairs = tuple((s.global_offset, s.global_offset + 1) for s in table.specs)
+        flip_text = dump_category_table(replace(table, flip_pairs=pairs))
+        config = tmp_path / "cats.json"
+        config.write_text(flip_text)
+        tensors = tmp_path / "tensors"
+        assert main(["encode", "--scenes", str(workspace / "scenes.json"), "--out-dir", str(tensors),
+                     "--flip", "--categories", str(config)]) == 0
+
+        def decode(name, *categories):
+            out = tmp_path / name
+            assert main(["decode", "--tensors", str(tensors), "--out", str(out), "--flip", *categories]) == 0
+            return out.read_bytes()
+
+        first = decode("first.json", "--categories", str(config))
+        assert decode("second.json", "--categories", str(config)) == first
+        # Without flip pairs the mirrored view's landmarks stay on the wrong side.
+        config.write_text(dump_category_table(table))
+        rewritten = decode("rewritten.json", "--categories", str(config))
+        assert rewritten != first
+        assert rewritten == decode("default.json")
+        config.write_text(flip_text)
+        assert decode("again.json", "--categories", str(config)) == first
+
+    def test_malformed_categories_file_fails_every_call(self, workspace, tmp_path, table, capsys):
+        config = tmp_path / "cats.json"
+        out = tmp_path / "dets.json"
+        argv = ["decode", "--tensors", str(workspace / "tensors"), "--out", str(out), "--categories", str(config)]
+        for text in ("{", '{"categories": []}', "{"):
+            config.write_text(text)
+            for _ in range(2):
+                assert main(argv) == 2
+                assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+        config.write_text(dump_category_table(table))
+        assert main(argv) == 0
+
     def test_decode_rejects_mismatched_channels(self, tmp_path, capsys):
         bad_dir = tmp_path / "tensors"
         bad_dir.mkdir()

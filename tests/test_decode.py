@@ -50,8 +50,9 @@ def test_config_validation():
     assert DecodeConfig(top_k=np.int64(3)).top_k == 3
     with pytest.raises(ValueError):
         DecodeConfig(min_center_score=1.5)
-    with pytest.raises(ValueError):
-        DecodeConfig(snap_box_margin=0.5)
+    for margin in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="snap_box_margin must be >= 1.0"):
+            DecodeConfig(snap_box_margin=margin)
 
 
 def test_single_peak():

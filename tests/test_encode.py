@@ -167,8 +167,13 @@ def test_encode_params_validation():
         EncodeParams(stride=0)
     with pytest.raises(ValueError):
         EncodeParams(min_overlap=1.0)
-    with pytest.raises(ValueError):
-        EncodeParams(keypoint_radius_scale=0.0)
+    for stride in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            EncodeParams(stride=stride)
+    assert EncodeParams(stride=np.int64(8)).stride == 8
+    for scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="keypoint_radius_scale must be positive and finite"):
+            EncodeParams(keypoint_radius_scale=scale)
 
 
 def test_encode_empty_scene_is_all_zero(table):

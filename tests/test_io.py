@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import logging
@@ -647,6 +648,112 @@ class TestDetectionsJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=r"detections\[0\]\.category_id must be an integer"):
             read_detections(path)
+
+
+def reference_detections_text(detections_by_image):
+    """The document write_detections wrote when it built rows and called json.dumps."""
+    rows = []
+    for image_id in sorted(detections_by_image):
+        for det in detections_by_image[image_id]:
+            rows.append(
+                {
+                    "image_id": image_id,
+                    "category_id": det.category_id,
+                    "score": det.score,
+                    "bbox": det.box.tolist(),
+                    "landmarks": det.landmarks.reshape(-1).tolist(),
+                }
+            )
+    return json.dumps({"detections": rows}, indent=2, sort_keys=True, allow_nan=False)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.5, 1e308, 12345.678, float(np.float32(0.7))]
+COORDS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-7]),
+    st.floats(0, 1),
+    st.floats(0, 1).map(np.float64),
+)
+# Quotes, backslashes, control and non-ASCII characters, which json escapes.
+ID_TEXT = st.text(st.sampled_from('a-_0"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600'), max_size=6)
+
+
+@st.composite
+def detections_by_image(draw):
+    ids = draw(st.one_of(st.lists(ID_TEXT, max_size=4, unique=True),
+                         st.lists(st.integers(-(2**70), 2**70), max_size=4, unique=True)))
+    out = {}
+    for image_id in ids:
+        dets = []
+        for _ in range(draw(st.integers(0, 3))):
+            count = draw(st.sampled_from([0, 1, 2, 5]))
+            dets.append(Detection(
+                draw(st.integers(1, 13)),
+                draw(SCORES),
+                np.array(draw(st.lists(COORDS, min_size=4, max_size=4))),
+                np.array(draw(st.lists(COORDS, min_size=3 * count, max_size=3 * count))).reshape(-1, 3),
+            ))
+        out[image_id] = dets
+    return out
+
+
+def raised(write, detections):
+    with pytest.raises((ValueError, TypeError)) as info:
+        write(detections)
+    return type(info.value), str(info.value)
+
+
+class TestDetectionsBytes:
+    """write_detections writes json.dumps(..., indent=2, sort_keys=True, allow_nan=False) byte for byte."""
+
+    @given(dets=detections_by_image())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_bytes_match_json_dumps(self, tmp_path_factory, dets):
+        path = tmp_path_factory.mktemp("bytes") / "dets.json"
+        write_detections(path, dets)
+        assert path.read_bytes() == reference_detections_text(dets).encode("utf-8")
+
+    @pytest.mark.parametrize("dets", [
+        {},
+        {"a": []},
+        {"a": [], "b": [Detection(1, 0.5, np.zeros(4), np.empty((0, 3)))]},
+        {7: [Detection(2, np.float64(0.25), np.array([-0.0, 5e-324, 1e16, 1e-7]), np.ones((1, 3)))]},
+        {'q"\\\u00e9': [Detection(13, 1, np.array([1.0, 2.0, 3.0, 4.0]), np.arange(6.0).reshape(2, 3))]},
+    ], ids=["empty", "empty-image", "empty-then-zero-landmarks", "int-id-edges", "escaped-id-int-score"])
+    def test_examples_match_json_dumps(self, tmp_path, dets):
+        write_detections(tmp_path / "dets.json", dets)
+        assert (tmp_path / "dets.json").read_text("utf-8") == reference_detections_text(dets)
+
+    @pytest.mark.parametrize("where", ["box", "landmarks", "score", "np-score"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_raises_as_json_dumps(self, tmp_path, where, value):
+        good = Detection(1, 0.5, np.array([0.0, 1.0, 2.0, 3.0]), np.ones((2, 3)))
+        box, landmarks, score = good.box.copy(), good.landmarks.copy(), good.score
+        if where == "box":
+            box[2] = value
+        elif where == "landmarks":
+            landmarks[1, 0] = value
+        else:
+            score = value if where == "score" else np.float64(value)
+        dets = {"a": [good], "b": [Detection(2, score, box, landmarks), good]}
+        path = tmp_path / "dets.json"
+        got = raised(lambda d: write_detections(path, d), dets)
+        assert got == raised(reference_detections_text, dets)
+        assert got[1].startswith("Out of range float values are not JSON compliant: ")
+        assert not path.exists()
+
+    def test_finite_values_whose_sum_overflows(self, tmp_path):
+        dets = {"a": [Detection(1, 0.5, np.array([1e308, 1e308, 1e308, -1e308]), np.full((1, 3), 1e308))]}
+        write_detections(tmp_path / "dets.json", dets)
+        assert (tmp_path / "dets.json").read_text("utf-8") == reference_detections_text(dets)
+
+    @pytest.mark.parametrize("field,value", [("score", np.float32(0.5)), ("category_id", np.int64(3))])
+    def test_non_json_type_raises_as_json_dumps(self, tmp_path, field, value):
+        det = Detection(1, 0.5, np.zeros(4), np.empty((0, 3)))
+        dets = {"a": [dataclasses.replace(det, **{field: value})]}
+        got = raised(lambda d: write_detections(tmp_path / "dets.json", d), dets)
+        assert got == raised(reference_detections_text, dets)
+        assert got[0] is TypeError
 
 
 # Values a mutation puts in place of a node: every JSON type, nested nulls and

@@ -337,8 +337,9 @@ class TestEvaluate:
             EvalConfig(thresholds=(0.5, 1.5))
         with pytest.raises(ValueError):
             EvalConfig(visibility_mode="both")
-        with pytest.raises(ValueError):
-            EvalConfig(max_detections_per_image=0)
+        for max_det in (0, 2.5, 100.0):
+            with pytest.raises(ValueError, match="max_detections_per_image must be an integer >= 1"):
+                EvalConfig(max_detections_per_image=max_det)
 
 
 # The default config's cases keep their bare seed ids.

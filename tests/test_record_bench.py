@@ -19,7 +19,9 @@ def record_bench(monkeypatch):
 
 
 def fake_run(failed_seed=None, correct=True, failed=0):
-    def run(checkout, seed):
+    def run(checkout, args):
+        assert args[:-1] == ["--seed"]
+        seed = int(args[-1])
         bad = seed == failed_seed
         return {"correct": correct if bad else True, "attempted": 10, "failed": failed if bad else 0,
                 "metrics": {"serve_single": {"latency_p50_ms": {"value": float(seed), "unit": "ms"}}}}
@@ -29,7 +31,7 @@ def fake_run(failed_seed=None, correct=True, failed=0):
 
 @pytest.mark.parametrize("correct,failed", [(False, 0), (True, 3), (False, 2)])
 def test_incorrect_run_writes_no_file(record_bench, monkeypatch, tmp_path, correct, failed):
-    monkeypatch.setattr(record_bench, "_run", fake_run(failed_seed=2, correct=correct, failed=failed))
+    monkeypatch.setattr(record_bench, "run_perfbench", fake_run(failed_seed=2, correct=correct, failed=failed))
     out = tmp_path / "BENCH_x.json"
     with pytest.raises(SystemExit) as exc:
         record_bench.main([str(out)])
@@ -38,7 +40,7 @@ def test_incorrect_run_writes_no_file(record_bench, monkeypatch, tmp_path, corre
 
 
 def test_correct_runs_write_their_medians(record_bench, monkeypatch, tmp_path):
-    monkeypatch.setattr(record_bench, "_run", fake_run())
+    monkeypatch.setattr(record_bench, "run_perfbench", fake_run())
     out = tmp_path / "BENCH_x.json"
     assert record_bench.main([str(out)]) == 0
     record = json.loads(out.read_text("utf-8"))

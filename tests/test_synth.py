@@ -133,8 +133,10 @@ class TestSynthScenes:
         {"min_box_size": 96, "max_box_size": 64},
         {"image_width": 128, "max_box_size": 160},
         {"keypoint_scatter": 0.0},
+        {"keypoint_scatter": float("nan")},
         {"min_visible": -1},
         {"stride": 0},
+        {"stride": 2.5},
         {"min_overlap": 1.0},
     ])
     def test_param_validation(self, kwargs):

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-COMMAND = ["python3", "perfbench/run.py", "--seed"]
 # Fixed, so that every point of the trajectory is measured on the same inputs.
 SEEDS = (1, 2, 3)
 
@@ -37,11 +36,13 @@ def _commit(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def _run(checkout: Path, seed: int) -> dict:
-    proc = subprocess.run(COMMAND + [str(seed)], cwd=checkout, capture_output=True, text=True)
+def run_perfbench(checkout: Path, args: list[str]) -> dict:
+    """The last-line JSON of `python3 perfbench/run.py ARGS` run in the checkout; exits if it fails."""
+    command = ["python3", "perfbench/run.py", *args]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"perfbench exited {proc.returncode} on seed {seed}")
+        raise SystemExit(f"perfbench exited {proc.returncode}: {' '.join(command)} in {checkout}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     runs = []
     for seed in SEEDS:
-        run = _run(checkout, seed)
+        run = run_perfbench(checkout, ["--seed", str(seed)])
         print(f"seed {seed}: correct {run['correct']}, failed {run['failed']}", file=sys.stderr)
         if run["correct"] is not True or run["failed"] != 0:
             raise SystemExit(
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         runs.append(run)
     record = {
         "commit": _commit(checkout),
-        "command": " ".join(COMMAND) + " N",
+        "command": "python3 perfbench/run.py --seed N",
         "seeds": list(SEEDS),
         "machine": {"nproc": os.cpu_count(), "numpy": np.__version__, "python": platform.python_version()},
         "runs": runs,
