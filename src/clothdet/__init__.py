@@ -22,7 +22,6 @@ from .decode import (
     DecodeConfig,
     KeypointCandidates,
     Peak,
-    decode_detections,
     decode_scene,
     extract_keypoint_candidates,
     extract_peaks,
@@ -92,7 +91,7 @@ __all__ = [
     "DEFAULT_SIGMA", "NUM_CATEGORIES", "TOTAL_KEYPOINTS", "CategoryConfigError", "CategorySpec",
     "CategoryTable", "default_table", "dump_category_table", "load_category_table",
     # decode
-    "DecodeConfig", "KeypointCandidates", "Peak", "decode_detections", "decode_scene",
+    "DecodeConfig", "KeypointCandidates", "Peak", "decode_scene",
     "extract_keypoint_candidates", "extract_peaks",
     # encode
     "EncodeParams", "encode_scene", "gaussian_radius", "render_gaussian",

@@ -9,6 +9,7 @@ else in the package.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -119,12 +120,13 @@ def load_category_table(config_text: str) -> CategoryTable:
             count = entry["keypoints"]
         except KeyError as exc:
             raise CategoryConfigError(f"categories[{pos}] missing field {exc}") from exc
-        if not isinstance(cid, int) or not 1 <= cid <= NUM_CATEGORIES:
+        # type(), not isinstance: JSON true and false are ints to isinstance.
+        if type(cid) is not int or not 1 <= cid <= NUM_CATEGORIES:
             raise CategoryConfigError(f"categories[{pos}].id must be an integer 1..{NUM_CATEGORIES}, got {cid!r}")
         if cid in seen_ids:
             raise CategoryConfigError(f"duplicate category id {cid}")
         seen_ids.add(cid)
-        if not isinstance(count, int) or count <= 0:
+        if type(count) is not int or count <= 0:
             raise CategoryConfigError(f"categories[{pos}].keypoints must be a positive integer, got {count!r}")
         entries.append((cid, str(name), count))
 
@@ -146,7 +148,7 @@ def load_category_table(config_text: str) -> CategoryTable:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise CategoryConfigError(f"flip_pairs[{pos}] must be a two-element pair, got {pair!r}")
         a, b = pair
-        if not all(isinstance(v, int) and 0 <= v < TOTAL_KEYPOINTS for v in (a, b)) or a == b:
+        if not all(type(v) is int and 0 <= v < TOTAL_KEYPOINTS for v in (a, b)) or a == b:
             raise CategoryConfigError(f"flip_pairs[{pos}] = {pair!r} is not a pair of distinct indices in [0, {TOTAL_KEYPOINTS})")
         if _category_of_global(specs, a) is not _category_of_global(specs, b):
             raise CategoryConfigError(f"flip_pairs[{pos}] = {pair!r} crosses category slices")
@@ -161,10 +163,11 @@ def load_category_table(config_text: str) -> CategoryTable:
     else:
         if not isinstance(raw_sigmas, list) or len(raw_sigmas) != TOTAL_KEYPOINTS:
             raise CategoryConfigError(f"sigmas must hold {TOTAL_KEYPOINTS} numbers")
-        sigmas = np.asarray(raw_sigmas, dtype=np.float64)
-        if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0):
-            bad = int(np.flatnonzero(~np.isfinite(sigmas) | (sigmas <= 0))[0])
-            raise CategoryConfigError(f"sigmas[{bad}] = {sigmas[bad]} is not a positive finite number")
+        for i, sigma in enumerate(raw_sigmas):
+            # NaN fails the comparison, and an integer beyond float range the upper bound.
+            if type(sigma) not in (int, float) or not 0 < sigma <= sys.float_info.max:
+                raise CategoryConfigError(f"sigmas[{i}] = {sigma!r} is not a positive finite number")
+        sigmas = np.array(raw_sigmas, dtype=np.float64)
     sigmas.setflags(write=False)
 
     return CategoryTable(specs=specs, flip_pairs=tuple(pairs), sigmas=sigmas)

@@ -213,12 +213,18 @@ def _cmd_fuse(args) -> int:
     sets = [read_tensors(path) for path in args.inputs]
     for tensors in sets:
         require_shapes(tensors, table)
-    unflip = {int(tok) for tok in args.unflip.split(",") if tok} if args.unflip else set()
+    try:
+        unflip = {int(tok) for tok in args.unflip.split(",") if tok} if args.unflip else set()
+    except ValueError:
+        raise ValueError(f"--unflip must be a comma list of input indices, got {args.unflip!r}")
     bad = [i for i in unflip if not 0 <= i < len(sets)]
     if bad:
         raise ValueError(f"--unflip indices {bad} out of range for {len(sets)} inputs")
     sets = [flip_tensors(t, table) if i in unflip else t for i, t in enumerate(sets)]
-    weights = [float(tok) for tok in args.weights.split(",")] if args.weights else None
+    try:
+        weights = [float(tok) for tok in args.weights.split(",")] if args.weights else None
+    except ValueError:
+        raise ValueError(f"--weights must be a comma list of numbers, got {args.weights!r}")
     write_tensors(args.out, fuse_tensors(sets, weights))
     print(f"fused {len(sets)} tensor sets to {args.out}")
     return 0

@@ -34,8 +34,6 @@ from .heads import (
     HeadTensorSet,
     TensorValidationError,
     _bit_fold,
-    _heatmap_issue,
-    _shape_issues,
     _SparseGrid,
     _take,
     require_valid,
@@ -359,35 +357,6 @@ def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.nda
     return np.column_stack(
         ((cx - half_w) * stride, (cy - half_h) * stride, (cx + half_w) * stride, (cy + half_h) * stride)
     )
-
-
-def decode_detections(tensors: HeadTensorSet, config: DecodeConfig = DecodeConfig()) -> list[Detection]:
-    """Box-only decoding: center peaks to scored category boxes in pixels.
-
-    Raises:
-        TensorValidationError: for a `center` that is not 3-d, a `wh` or
-            `center_offset` without 2 channels on `center`'s cells, a stride
-            below 1, the center values that decode_scene rejects, or a
-            non-finite regression value read at a peak.
-    """
-    issues = _shape_issues(tensors, {"center": None, "wh": 2, "center_offset": 2})
-    issue = _heatmap_issue("center", tensors.center)
-    if issue is not None:
-        issues.append(issue)
-    if issues:
-        raise TensorValidationError(issues)
-    peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
-    _, rows, cols = _peak_cells(peaks)
-    boxes = _boxes(tensors, rows, cols)
-    return [
-        Detection(
-            category_id=peak.channel + 1,
-            score=peak.score,
-            box=boxes[i],
-            landmarks=np.empty((0, 3)),
-        )
-        for i, peak in enumerate(peaks)
-    ]
 
 
 def decode_scene(

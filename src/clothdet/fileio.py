@@ -485,28 +485,6 @@ def read_scenes(path, table: CategoryTable) -> list[Scene]:
     return scenes
 
 
-def write_scenes(path, scenes: list[Scene]) -> None:
-    doc = {
-        "images": [
-            {
-                "image_id": s.image_id,
-                "width": s.width,
-                "height": s.height,
-                "items": [
-                    {
-                        "category_id": item.category_id,
-                        "bbox": item.box.tolist(),
-                        "landmarks": item.landmarks.reshape(-1).tolist(),
-                    }
-                    for item in s.items
-                ],
-            }
-            for s in sorted(scenes, key=lambda s: s.image_id)
-        ]
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), "utf-8")
-
-
 def _detections_at_once(rows: list) -> dict[str, list[Detection]] | None:
     """read_detections' result from one structural pass and one array of boxes and of landmarks; None on any fault."""
     heads = []
@@ -579,11 +557,11 @@ def read_detections(path) -> dict[str, list[Detection]]:
     return read if read is not None else _detections_per_object(doc["detections"])
 
 
-# json.dumps with an indent runs json's pure-Python encoder, one call per
-# value. write_detections builds the same text itself: list repr formats
-# floats with float.__repr__, json's own float format, and this encoder (no
-# indent, so json's C path) writes the scalars with json's escaping and
-# TypeErrors.
+# json's dumps with an indent runs its pure-Python encoder, one call per
+# value. write_scenes and write_detections build the same text themselves:
+# list repr formats floats with float.__repr__, json's own float format, and
+# this encoder (no indent, so json's C path) writes the scalars with json's
+# escaping and TypeErrors.
 _SCALARS = json.JSONEncoder(allow_nan=False)
 
 
@@ -599,8 +577,15 @@ def _scalar_text(value) -> str:
     return _SCALARS.encode(value)
 
 
-def _floats_text(values: list) -> str:
-    """A list of Python floats as json.dumps(..., indent=2) prints it inside a detection."""
+def _list_text(texts: list[str], indent: str) -> str:
+    """Element texts as a list in the layout of json's dumps(..., indent=2), as the value of a key indented by `indent`."""
+    if not texts:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(texts) + f"\n{indent}]"
+
+
+def _floats_text(values: list, indent: str) -> str:
+    """_list_text of a list of Python floats, raising json's ValueError for a non-finite one."""
     if not values:
         return "[]"
     # A sum of finite floats is finite or overflows to inf, so a finite sum
@@ -609,15 +594,49 @@ def _floats_text(values: list) -> str:
         for value in values:
             if not math.isfinite(value):
                 raise _out_of_range(value)
-    return "[\n        " + repr(values)[1:-1].replace(", ", ",\n        ") + "\n      ]"
+    return f"[\n{indent}  " + repr(values)[1:-1].replace(", ", f",\n{indent}  ") + f"\n{indent}]"
+
+
+# Each builder below writes a dict's fields in sorted key order, each
+# checked when json would reach it.
+def _item_text(item: GroundTruthItem) -> str:
+    box = _floats_text(item.box.tolist(), " " * 10)
+    category = _scalar_text(item.category_id)
+    landmarks = _floats_text(item.landmarks.reshape(-1).tolist(), " " * 10)
+    return (
+        f'{{\n          "bbox": {box},\n          "category_id": {category},\n'
+        f'          "landmarks": {landmarks}\n        }}'
+    )
+
+
+def _scene_text(scene: Scene) -> str:
+    height = _scalar_text(scene.height)
+    image = _scalar_text(scene.image_id)
+    items = _list_text([_item_text(item) for item in scene.items], " " * 6)
+    width = _scalar_text(scene.width)
+    return (
+        f'{{\n      "height": {height},\n      "image_id": {image},\n      "items": {items},\n'
+        f'      "width": {width}\n    }}'
+    )
+
+
+def write_scenes(path, scenes: list[Scene]) -> None:
+    """Write {"images": [...]}, scenes in sorted id order, each scene's items in order.
+
+    The text is exactly json's dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) of that document, and the errors are json's: a
+    ValueError for a non-finite value, a TypeError for a value of no JSON
+    type. Boxes and landmarks are the float64 arrays GroundTruthItem holds.
+    """
+    rows = [_scene_text(scene) for scene in sorted(scenes, key=lambda s: s.image_id)]
+    Path(path).write_text('{\n  "images": ' + _list_text(rows, "  ") + "\n}", "utf-8")
 
 
 def _detection_text(image_id, det: Detection) -> str:
-    # The fields in sorted key order, each checked when json would reach it.
-    box = _floats_text(det.box.tolist())
+    box = _floats_text(det.box.tolist(), " " * 6)
     category = _scalar_text(det.category_id)
     image = _scalar_text(image_id)
-    landmarks = _floats_text(det.landmarks.reshape(-1).tolist())
+    landmarks = _floats_text(det.landmarks.reshape(-1).tolist(), " " * 6)
     score = _scalar_text(det.score)
     return (
         f'{{\n      "bbox": {box},\n      "category_id": {category},\n      "image_id": {image},\n'
@@ -628,7 +647,7 @@ def _detection_text(image_id, det: Detection) -> str:
 def write_detections(path, detections_by_image: dict[str, list[Detection]]) -> None:
     """Write {"detections": [...]}, images in sorted id order, each image's detections in list order.
 
-    The text is exactly json.dumps(doc, indent=2, sort_keys=True,
+    The text is exactly json's dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) of that document, and the errors are json's: a
     ValueError for a non-finite value, a TypeError for a value of no JSON
     type. Image ids are strings or integers; boxes and landmarks are the
@@ -639,5 +658,4 @@ def write_detections(path, detections_by_image: dict[str, list[Detection]]) -> N
         for image_id in sorted(detections_by_image)
         for det in detections_by_image[image_id]
     ]
-    listed = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    Path(path).write_text('{\n  "detections": ' + listed + "\n}", "utf-8")
+    Path(path).write_text('{\n  "detections": ' + _list_text(rows, "  ") + "\n}", "utf-8")

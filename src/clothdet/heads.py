@@ -22,13 +22,15 @@ regression tensors of flipped and fused sets are lazy grids computed at
 the cells read. Grids are read-only: a caller that edits a tensor takes
 `np.array(tensor)` and puts it in a new set with `dataclasses.replace`.
 
-`require_valid` is the one validation entry point: it checks channel
-counts, spatial dims, stride and heatmap values, and raises
-`TensorValidationError` with every issue found. It bounds a dense float32
-heatmap through the bit fold of `_bit_fold`, the column maxima of its bits
-folded a few dozen ways, and returns the folds so that decode finds the
-landmark peak candidates without a second pass over the heatmap.
-`require_shapes` is its shape part alone.
+`require_valid` is the one validation entry point. decode_scene calls it
+on every set it decodes, and infer on both views of a mirrored pair before
+fusing them. It checks channel counts, spatial dims, stride and the values
+of both heatmaps, and raises `TensorValidationError` with every issue
+found. It bounds a dense float32 heatmap through `_bit_fold`, the column
+maxima of its bits folded up to 48 ways, and returns the folds so that
+decode finds the landmark peak candidates without a second pass over the
+heatmap. `require_shapes` is its shape part alone, for `clothdet fuse`,
+which transforms sets without decoding them.
 """
 
 from __future__ import annotations
@@ -180,21 +182,17 @@ def _channel_counts(num_categories: int) -> dict[str, int]:
     }
 
 
-def _shape_issues(tensors: HeadTensorSet, expected: dict[str, int | None]) -> list[str]:
-    """Issues with the channel counts, spatial dims and stride of the tensors named in `expected`; reads no values.
-
-    `expected` maps each tensor name to its channel count, or to None when
-    any count is accepted.
-    """
+def _shape_issues(tensors: HeadTensorSet, num_categories: int) -> list[str]:
+    """Issues with the channel counts, spatial dims and stride of the six tensors; reads no values."""
     issues: list[str] = []
     shapes = {}
-    for name, channels in expected.items():
+    for name, channels in _channel_counts(num_categories).items():
         grid = getattr(tensors, name)
         if not isinstance(grid, (np.ndarray, _LazyGrid)) or grid.ndim != 3:
             issues.append(f"{name}: expected a 3-d [C][H][W] array")
             continue
         shapes[name] = grid.shape
-        if channels is not None and grid.shape[0] != channels:
+        if grid.shape[0] != channels:
             issues.append(f"{name}: expected {channels} channels, got {grid.shape[0]}")
 
     spatial = {shape[1:] for shape in shapes.values()}
@@ -233,19 +231,19 @@ def _bit_fold(grid) -> np.ndarray | None:
     return grid.view(np.uint32).reshape(rows, -1).max(axis=0)
 
 
-def _heatmap_issue(name: str, grid, fold: np.ndarray | None = None) -> str | None:
+def _heatmap_issue(name: str, grid, fold: np.ndarray | None) -> str | None:
     """The located issue with heatmap `name`'s values, or None when all are finite and in [0, 1].
 
-    Heatmap values must be finite and lie in [0, 1], since decode reports
-    them as scores. A float32 heatmap is checked with one max() over its
-    bits read as uint32, or over its bit fold `fold` (see _bit_fold) when
-    given: +0.0 is 0 and 1.0 is 0x3F800000, every value in (0, 1] lies
-    between, and -0.0, negative values, infinities and NaN all lie above. A
-    heatmap held as a `_SparseGrid` is checked over its listed values alone,
-    since every other value is +0.0. A larger maximum, or another dtype,
-    falls back to a scan that accepts -0.0 and locates the first bad cell
-    for the message. A grid that is not a 3-d array or `_SparseGrid` has no
-    values to check here.
+    `fold` is the grid's _bit_fold. Heatmap values must be finite and lie
+    in [0, 1], since decode reports them as scores. A dense float32 heatmap
+    is checked with one max() over its fold, and a `_SparseGrid` with one
+    max() over the bits of its listed values, since every other value is
+    +0.0: read as uint32, +0.0 is 0 and 1.0 is 0x3F800000, every value in
+    (0, 1] lies between, and -0.0, negative values, infinities and NaN all
+    lie above. A larger maximum, or another dtype, falls back to a scan
+    that accepts -0.0 and locates the first bad cell for the message. A
+    grid that is not a 3-d array or `_SparseGrid` has no values to check
+    here.
     """
     sparse = isinstance(grid, _SparseGrid)
     if not (sparse or isinstance(grid, np.ndarray) and grid.ndim == 3):
@@ -278,7 +276,7 @@ def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> dict[str, np.
         TensorValidationError: listing every issue found in `.issues`, the
             shape issues first, then those of `center` and `kp_heatmap`.
     """
-    issues = _shape_issues(tensors, _channel_counts(len(table.specs)))
+    issues = _shape_issues(tensors, len(table.specs))
     folds = {}
     for name in HEATMAP_NAMES:
         grid = getattr(tensors, name)
@@ -293,6 +291,6 @@ def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> dict[str, np.
 
 def require_shapes(tensors: HeadTensorSet, table: CategoryTable) -> None:
     """The shape part of require_valid, for callers that transform a set before decoding it."""
-    issues = _shape_issues(tensors, _channel_counts(len(table.specs)))
+    issues = _shape_issues(tensors, len(table.specs))
     if issues:
         raise TensorValidationError(issues)

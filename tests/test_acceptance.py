@@ -19,7 +19,6 @@ from clothdet import (
     GroundTruthItem,
     HeadTensorSet,
     SynthParams,
-    decode_detections,
     decode_scene,
     encode_scene,
     evaluate,
@@ -115,7 +114,7 @@ def test_criterion_3_pinned_values(table):
         tensors.center_offset[1, 10, 10] = 0.7
         tensors.wh[0, 10, 10] = 4.0
         tensors.wh[1, 10, 10] = 6.0
-        dets = decode_detections(tensors, DecodeConfig(min_center_score=0.5))
+        dets = decode_scene(tensors, table, DecodeConfig(min_center_score=0.5))
         assert len(dets) == 1 and dets[0].category_id == 5
         assert np.abs(dets[0].box - [33.2, 30.8, 49.2, 54.8]).max() <= 1e-9
 

@@ -79,7 +79,31 @@ def test_table_and_failures(bench_pairs):
     pairs = canned_pairs()
     pairs[4] = (pairs[4][0], run(6.0, 100.0, correct=False, failed=2))
     table = bench_pairs.format_rows(bench_pairs.summarize(pairs, METRICS)).splitlines()
-    assert table[0].split() == ["metric", "parent", "change", "diff", "wins", "gain"]
+    assert table[0].split() == ["metric", "parent", "change", "diff", "wins", "gain", "regression"]
     assert table[1].split()[0] == "latency_p50_ms"
     assert table[1].endswith("9/10  yes")
     assert bench_pairs._failures(pairs) == ["pair 5 change: correct False, 2 failed"]
+
+
+def test_regression_against_the_bound(bench_pairs):
+    # Parent p50 7.25 [7.025, 7.475]: an interquartile range of 0.45, 6.2 % of the median.
+    pairs = [(parent, run(parent["metrics"]["latency_p50_ms"]["value"] * 1.3, 100.0)) for parent, _ in canned_pairs()]
+    bounded = [dict(METRICS[0], bound=bound) for bound in (0.25, 0.5, 0.05)]
+
+    def regression(pairs, metric):
+        return bench_pairs.summarize(pairs, [metric])[0]["regression"]
+
+    # The change's median is 30 % above the parent's.
+    assert regression(pairs, bounded[0]) == "worse"
+    assert regression(pairs, bounded[1]) == ""
+    assert regression(canned_pairs(), bounded[2]) == "unresolved"
+    # A bound too tight for the parent's spread still reports a clear regression as worse.
+    assert regression(pairs, bounded[2]) == "worse"
+    assert regression(pairs, METRICS[0]) == ""
+    # For a higher-is-better metric, worse means lower.
+    rate = dict(METRICS[1], bound=0.1)
+    slower = [(parent, run(7.0, 80.0)) for parent, _ in canned_pairs()]
+    assert regression(slower, rate) == "worse"
+    assert regression(canned_pairs(), rate) == ""
+    table = bench_pairs.format_rows(bench_pairs.summarize(pairs, bounded[:1])).splitlines()
+    assert table[1].endswith("0/10  no    worse")

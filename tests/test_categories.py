@@ -142,6 +142,37 @@ def test_sigma_validation():
         load_category_table(json.dumps(config_doc(sigmas=[0.05] * 10)))
 
 
+@pytest.mark.parametrize("value", [True, "x", None, [0.05], float("nan"), float("inf"), 0, 10**400],
+                         ids=["true", "string", "null", "list", "nan", "inf", "zero", "beyond-float"])
+def test_sigma_that_is_no_positive_finite_number_rejected(value):
+    sigmas = [0.05] * TOTAL_KEYPOINTS
+    sigmas[11] = value
+    with pytest.raises(CategoryConfigError, match=r"^sigmas\[11\] = .* is not a positive finite number$"):
+        load_category_table(json.dumps(config_doc(sigmas=sigmas)))
+
+
+def test_integer_sigmas_accepted():
+    table = load_category_table(json.dumps(config_doc(sigmas=[1] * TOTAL_KEYPOINTS)))
+    assert table.sigmas.dtype == np.float64 and np.all(table.sigmas == 1.0)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("id", r"categories\[2\]\.id must be an integer 1\.\.13, got True"),
+    ("keypoints", r"categories\[2\]\.keypoints must be a positive integer, got True"),
+], ids=["id", "keypoints"])
+def test_json_boolean_is_no_category_integer(field, message):
+    doc = config_doc()
+    doc["categories"][2][field] = True
+    with pytest.raises(CategoryConfigError, match=message):
+        load_category_table(json.dumps(doc))
+
+
+@pytest.mark.parametrize("pair", [[True, 5], [0, True], [False, 5]])
+def test_json_boolean_is_no_flip_pair_index(pair):
+    with pytest.raises(CategoryConfigError, match=r"flip_pairs\[0\] = .* is not a pair of distinct indices"):
+        load_category_table(json.dumps(config_doc(flip_pairs=[pair])))
+
+
 def test_invalid_json_rejected():
     with pytest.raises(CategoryConfigError, match="JSON"):
         load_category_table("{not json")

@@ -316,6 +316,19 @@ class TestFuse:
                      "--unflip", "3"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--unflip", "1.5", "--unflip must be a comma list of input indices, got '1.5'"),
+        ("--unflip", "0,x", "--unflip must be a comma list of input indices, got '0,x'"),
+        ("--weights", "1,,2", "--weights must be a comma list of numbers, got '1,,2'"),
+        ("--weights", "1,two", "--weights must be a comma list of numbers, got '1,two'"),
+    ])
+    def test_unparsable_list_names_its_flag(self, workspace, tmp_path, capsys, flag, value, message):
+        src = sorted((workspace / "tensors").glob("*.dmrk"))
+        out = tmp_path / "f.dmrk"
+        assert main(["fuse", "--inputs", str(src[0]), str(src[1]), "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEval:
     def test_perfect_roundtrip_reports_ones(self, workspace, tmp_path, capsys):

@@ -14,11 +14,11 @@ from clothdet import (
     Peak,
     SynthParams,
     TensorValidationError,
-    decode_detections,
     decode_scene,
     encode_scene,
     extract_keypoint_candidates,
     extract_peaks,
+    infer,
     new_head_tensors,
     synth_scenes,
 )
@@ -123,34 +123,34 @@ def test_decode_box_example(table):
     tensors.center_offset[1, 10, 10] = 0.7
     tensors.wh[0, 10, 10] = 4.0
     tensors.wh[1, 10, 10] = 6.0
-    dets = decode_detections(tensors, DecodeConfig(min_center_score=0.5))
+    dets = decode_scene(tensors, table, DecodeConfig(min_center_score=0.5))
     assert len(dets) == 1
     assert dets[0].category_id == 5
     assert dets[0].score == 1.0
     np.testing.assert_allclose(dets[0].box, [33.2, 30.8, 49.2, 54.8], atol=1e-9)
 
 
-def test_decode_degenerate_wh_retained():
+def test_decode_degenerate_wh_retained(table):
     tensors = float64_tensors()
     tensors.center[0, 3, 3] = 0.8
-    dets = decode_detections(tensors, DecodeConfig(min_center_score=0.5))
+    dets = decode_scene(tensors, table, DecodeConfig(min_center_score=0.5))
     assert len(dets) == 1
     np.testing.assert_array_equal(dets[0].box, [12.0, 12.0, 12.0, 12.0])
 
 
-def test_decode_negative_wh_clamped_to_zero():
+def test_decode_negative_wh_clamped_to_zero(table):
     tensors = float64_tensors()
     tensors.center[0, 3, 3] = 0.8
     tensors.wh[:, 3, 3] = -5.0
-    dets = decode_detections(tensors, DecodeConfig(min_center_score=0.5))
+    dets = decode_scene(tensors, table, DecodeConfig(min_center_score=0.5))
     np.testing.assert_array_equal(dets[0].box, [12.0, 12.0, 12.0, 12.0])
 
 
-def test_two_channels_same_cell_give_two_detections():
+def test_two_channels_same_cell_give_two_detections(table):
     tensors = float64_tensors()
     tensors.center[0, 5, 5] = 0.9
     tensors.center[7, 5, 5] = 0.8
-    dets = decode_detections(tensors, DecodeConfig(min_center_score=0.5))
+    dets = decode_scene(tensors, table, DecodeConfig(min_center_score=0.5))
     assert [(d.category_id, d.score) for d in dets] == [(1, 0.9), (8, 0.8)]
 
 
@@ -168,7 +168,9 @@ def test_both_decoders_reject_the_same_center_value(table, value, message, spars
         flat = np.flatnonzero(tensors.center)
         center = _SparseGrid(tensors.center.shape, flat, tensors.center.reshape(-1)[flat])
         tensors = dataclasses.replace(tensors, center=center)
-    for decode in (lambda: decode_scene(tensors, table), lambda: decode_detections(tensors)):
+    # infer's flip path checks each view before fusing, as decode_scene would check it alone.
+    flip_view = [(1.0, tensors, tensors)]
+    for decode in (lambda: decode_scene(tensors, table), lambda: infer(flip_view, table, DecodeConfig(), None)):
         with pytest.raises(TensorValidationError) as caught:
             decode()
         assert caught.value.issues == [message]
@@ -184,19 +186,17 @@ def box_tensors(center_shape=(13, 8, 8), wh_shape=(2, 8, 8), stride=4):
 
 @pytest.mark.parametrize("tensors, issues", [
     (box_tensors(center_shape=(8, 8)), ["center: expected a 3-d [C][H][W] array"]),
-    (box_tensors(wh_shape=(2, 4, 4)), ["spatial dimensions differ across tensors: center 8x8, wh 4x4, center_offset 8x8"]),
+    (box_tensors(wh_shape=(2, 4, 4)), [
+        "spatial dimensions differ across tensors: center 8x8, wh 4x4, center_offset 8x8, kp_offset 8x8, "
+        "kp_heatmap 8x8, kp_refine_offset 8x8"
+    ]),
     (box_tensors(wh_shape=(3, 8, 8)), ["wh: expected 2 channels, got 3"]),
     (box_tensors(stride=0), ["stride must be >= 1, got 0"]),
 ], ids=["2-d center", "small wh", "wh channels", "stride"])
-def test_decode_detections_rejects_malformed_shapes(tensors, issues):
+def test_decode_scene_rejects_malformed_shapes(table, tensors, issues):
     with pytest.raises(TensorValidationError) as caught:
-        decode_detections(tensors)
+        decode_scene(tensors, table)
     assert caught.value.issues == issues
-
-
-def test_decode_detections_accepts_any_center_channel_count():
-    dets = decode_detections(box_tensors(center_shape=(3, 8, 8)), DecodeConfig(min_center_score=0.5))
-    assert [(d.category_id, d.score) for d in dets] == [(1, np.float32(0.9))]
 
 
 def test_coarse_keypoints_zero_offsets(table):

@@ -756,6 +756,97 @@ class TestDetectionsBytes:
         assert got[0] is TypeError
 
 
+def reference_scenes_text(scenes):
+    """The document write_scenes wrote when it built dicts and called json.dumps."""
+    doc = {
+        "images": [
+            {
+                "image_id": s.image_id,
+                "width": s.width,
+                "height": s.height,
+                "items": [
+                    {
+                        "category_id": item.category_id,
+                        "bbox": item.box.tolist(),
+                        "landmarks": item.landmarks.reshape(-1).tolist(),
+                    }
+                    for item in s.items
+                ],
+            }
+            for s in sorted(scenes, key=lambda s: s.image_id)
+        ]
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@st.composite
+def scene_lists(draw):
+    scenes = []
+    for image_id in draw(st.lists(ID_TEXT, max_size=4)):
+        items = []
+        for _ in range(draw(st.integers(0, 3))):
+            count = draw(st.sampled_from([0, 1, 2, 5]))
+            items.append(GroundTruthItem(
+                draw(st.integers(1, 13)),
+                np.array(draw(st.lists(COORDS, min_size=4, max_size=4))),
+                np.array(draw(st.lists(COORDS, min_size=3 * count, max_size=3 * count))).reshape(-1, 3),
+            ))
+        scenes.append(Scene(image_id, draw(st.integers(1, 2**31 - 1)), draw(st.integers(1, 2**31 - 1)), tuple(items)))
+    return scenes
+
+
+class TestScenesBytes:
+    """write_scenes writes json.dumps(..., indent=2, sort_keys=True, allow_nan=False) byte for byte."""
+
+    @given(scenes=scene_lists())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_bytes_match_json_dumps(self, tmp_path_factory, scenes):
+        path = tmp_path_factory.mktemp("bytes") / "scenes.json"
+        write_scenes(path, scenes)
+        assert path.read_bytes() == reference_scenes_text(scenes).encode("utf-8")
+
+    @pytest.mark.parametrize("scenes", [
+        [],
+        [Scene("a", 8, 8, ())],
+        [Scene("b", 8, 8, (GroundTruthItem(1, np.zeros(4), np.empty((0, 3))),)), Scene("a", 8, 8, ())],
+        [Scene('q"\\\u00e9\U0001f600', 640, 480, (
+            GroundTruthItem(2, np.array([-0.0, 5e-324, 1e16, 1e-7]), np.array([[1e308, -0.0, 2.0]])),
+        ))],
+    ], ids=["empty", "empty-scene", "empty-scene-after-zero-landmarks", "non-ascii-id-edges"])
+    def test_examples_match_json_dumps(self, tmp_path, scenes):
+        write_scenes(tmp_path / "scenes.json", scenes)
+        assert (tmp_path / "scenes.json").read_text("utf-8") == reference_scenes_text(scenes)
+
+    @pytest.mark.parametrize("where", ["box", "landmarks", "width"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_raises_as_json_dumps(self, tmp_path, where, value):
+        good = GroundTruthItem(1, np.array([0.0, 1.0, 2.0, 3.0]), np.ones((2, 3)))
+        box, landmarks, width = good.box.copy(), good.landmarks.copy(), 8
+        if where == "box":
+            box[2] = value
+        elif where == "landmarks":
+            landmarks[1, 0] = value
+        else:
+            width = value
+        scenes = [Scene("b", width, 8, (GroundTruthItem(2, box, landmarks), good)), Scene("a", 8, 8, (good,))]
+        path = tmp_path / "scenes.json"
+        got = raised(lambda s: write_scenes(path, s), scenes)
+        assert got == raised(reference_scenes_text, scenes)
+        assert got[1].startswith("Out of range float values are not JSON compliant: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["category_id", "height"])
+    def test_non_json_type_raises_as_json_dumps(self, tmp_path, field):
+        item = GroundTruthItem(1, np.zeros(4), np.empty((0, 3)))
+        if field == "category_id":
+            scenes = [Scene("a", 8, 8, (dataclasses.replace(item, category_id=np.int64(3)),))]
+        else:
+            scenes = [Scene("a", 8, np.int64(8), (item,))]
+        got = raised(lambda s: write_scenes(tmp_path / "scenes.json", s), scenes)
+        assert got == raised(reference_scenes_text, scenes)
+        assert got[0] is TypeError
+
+
 # Values a mutation puts in place of a node: every JSON type, nested nulls and
 # integers far beyond float range.
 SWAPS = [None, True, False, "", "x", 0, -1, 1.5, 10**400, -(10**400), [], {}, [None], {"k": None}, [[None]]]

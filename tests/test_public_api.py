@@ -8,8 +8,8 @@ PUBLIC_NAMES = [
     "KeypointCandidates", "MetricBlock", "MetricReport", "NUM_CATEGORIES", "NoiseParams", "PRCurve", "Peak",
     "Scene", "SceneError", "StrategyReport", "StrategyResult", "SynthParams", "TENSOR_NAMES", "TOTAL_KEYPOINTS",
     "TensorValidationError", "VISIBILITY_MODES", "VISIBLE_AND_OCCLUDED", "VISIBLE_ONLY", "VIS_OCCLUDED",
-    "VIS_UNLABELED", "VIS_VISIBLE", "box_area", "clamp_scene", "compare_strategies", "decode_detections",
-    "decode_scene", "default_table", "dump_category_table", "encode_scene", "evaluate",
+    "VIS_UNLABELED", "VIS_VISIBLE", "box_area", "clamp_scene", "compare_strategies", "decode_scene",
+    "default_table", "dump_category_table", "encode_scene", "evaluate",
     "extract_keypoint_candidates", "extract_peaks", "flip_tensors", "fuse_multiscale", "fuse_tensors",
     "gaussian_radius", "infer", "iou", "load_category_table", "mirror_scene", "new_head_tensors", "nms",
     "noisy_view_tensors", "oks", "read_detections", "read_scenes", "read_tensors", "render_gaussian",

@@ -10,7 +10,11 @@ change checkout lists, it prints each side's median and quartiles over the
 pairs, the relative difference of the medians, and in how many pairs the
 change was better (ties count for neither side). A gain holds when the change
 wins at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range; the last column says whether both hold.
+the parent's interquartile range; the `gain` column says whether both hold.
+For a metric with a `bound`, the last column says `worse` when the change's
+median is worse than the parent's by more than that fraction of it, and
+`unresolved` when the parent's interquartile range is wider than that
+fraction of its median, so that such a regression could not be told apart.
 Exits 1 when any run reports `"correct": false` or a failed operation.
 """
 
@@ -38,7 +42,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     """One row per metric over (parent run, change run) pairs of perfbench's last-line JSON.
 
     `metrics` are BENCHMARK.json's end-to-end entries; a metric that either
-    side did not report is skipped.
+    side did not report is skipped. A row's "regression" is "worse",
+    "unresolved" or "" against the metric's relative `bound`, and "" when it
+    has none.
     """
     rows = []
     for metric in metrics:
@@ -51,6 +57,13 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         p_q1, p_q3 = _quartiles(parent)
         gain = (c_med - p_med) if higher else (p_med - c_med)
+        bound = metric.get("bound")
+        regression = ""
+        if bound is not None:
+            if -gain > bound * abs(p_med):
+                regression = "worse"
+            elif p_q3 - p_q1 > bound * abs(p_med):
+                regression = "unresolved"
         rows.append({
             "metric": name,
             "parent_median": p_med,
@@ -61,6 +74,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "wins": wins,
             "pairs": len(pairs),
             "gain_holds": wins * 10 >= 9 * len(pairs) and gain > p_q3 - p_q1,
+            "regression": regression,
         })
     return rows
 
@@ -75,18 +89,18 @@ def _failures(pairs: list[tuple[dict, dict]]) -> list[str]:
 
 
 def format_rows(rows: list[dict]) -> str:
-    """The rows as a table: medians with [q1, q3], the change in percent, wins and whether a gain holds."""
+    """The rows as a table: medians with [q1, q3], the change in percent, wins, whether a gain holds and any regression."""
 
     def spread(median: float, quartiles: tuple[float, float]) -> str:
         return f"{median:.4g} [{quartiles[0]:.4g}, {quartiles[1]:.4g}]"
 
-    lines = [f"{'metric':<16}{'parent':>30}{'change':>30}{'diff':>9}{'wins':>8}  gain"]
+    lines = [f"{'metric':<16}{'parent':>30}{'change':>30}{'diff':>9}{'wins':>8}  gain  regression"]
     for row in rows:
         pct = "n/a" if row["change_pct"] is None else f"{row['change_pct']:+.1f}%"
         lines.append(
             f"{row['metric']:<16}{spread(row['parent_median'], row['parent_quartiles']):>30}"
             f"{spread(row['change_median'], row['change_quartiles']):>30}{pct:>9}"
-            f"{row['wins']:>5}/{row['pairs']:<2}  {'yes' if row['gain_holds'] else 'no'}"
+            f"{row['wins']:>5}/{row['pairs']:<2}  {'yes' if row['gain_holds'] else 'no':<4}  {row['regression']}".rstrip()
         )
     return "\n".join(lines)
 
