@@ -126,9 +126,11 @@ def load_category_table(config_text: str) -> CategoryTable:
         if cid in seen_ids:
             raise CategoryConfigError(f"duplicate category id {cid}")
         seen_ids.add(cid)
+        if not isinstance(name, str):
+            raise CategoryConfigError(f"categories[{pos}].name must be a string, got {name!r}")
         if type(count) is not int or count <= 0:
             raise CategoryConfigError(f"categories[{pos}].keypoints must be a positive integer, got {count!r}")
-        entries.append((cid, str(name), count))
+        entries.append((cid, name, count))
 
     entries.sort(key=lambda e: e[0])
     total = sum(count for _, _, count in entries)

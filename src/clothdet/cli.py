@@ -81,11 +81,14 @@ def _view_name(image_id: str, scale: float, flipped: bool) -> str:
 
 
 def _require_view_names(scenes: list[Scene]) -> None:
-    """Reject ids that would write views outside the output directory, or that decode reads as view tags."""
+    """Reject ids that repeat, that would write views outside the output directory, or that decode reads as tags."""
+    first: dict[str, int] = {}
     for i, scene in enumerate(scenes):
         if scene.image_id in ("", ".", "..") or any(ch in scene.image_id for ch in "/@\0"):
             raise ValueError(f"image {i}: image_id {scene.image_id!r} cannot name a view file: an id must not "
                              "be empty, '.' or '..', or contain '/', '@' or NUL")
+        if first.setdefault(scene.image_id, i) != i:
+            raise ValueError(f"image {i}: image_id {scene.image_id!r} repeats image {first[scene.image_id]}'s")
 
 
 def _parse_scales(text: str) -> tuple[float, ...]:
@@ -363,22 +366,22 @@ def build_parser() -> _Parser:
     def common(p: _Parser, seed: bool = True) -> None:
         p.add_argument("--categories", help="category config JSON (defaults to the built-in 13-category table)")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=SynthParams.seed)
 
     p = sub.add_parser("synth", help="sample synthetic annotated scenes")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--images", type=int, default=16)
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--min-objects", type=int, default=1)
-    p.add_argument("--max-objects", type=int, default=6)
-    p.add_argument("--min-box", type=int, default=64)
-    p.add_argument("--max-box", type=int, default=160)
-    p.add_argument("--scatter", type=float, default=512.0)
-    p.add_argument("--occlusion", type=float, default=0.0)
-    p.add_argument("--unlabeled", type=float, default=0.0)
-    p.add_argument("--min-visible", type=int, default=0)
+    p.add_argument("--images", type=int, default=SynthParams.num_images)
+    p.add_argument("--width", type=int, default=SynthParams.image_width)
+    p.add_argument("--height", type=int, default=SynthParams.image_height)
+    p.add_argument("--min-objects", type=int, default=SynthParams.min_objects)
+    p.add_argument("--max-objects", type=int, default=SynthParams.max_objects)
+    p.add_argument("--min-box", type=int, default=SynthParams.min_box_size)
+    p.add_argument("--max-box", type=int, default=SynthParams.max_box_size)
+    p.add_argument("--scatter", type=float, default=SynthParams.keypoint_scatter)
+    p.add_argument("--occlusion", type=float, default=SynthParams.occlusion_prob)
+    p.add_argument("--unlabeled", type=float, default=SynthParams.unlabeled_prob)
+    p.add_argument("--min-visible", type=int, default=SynthParams.min_visible)
     p.add_argument("--no-separation", action="store_true")
     p.set_defaults(func=_cmd_synth)
 
@@ -386,8 +389,8 @@ def build_parser() -> _Parser:
     common(p, seed=False)
     p.add_argument("--scenes", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--min-overlap", type=float, default=0.7)
+    p.add_argument("--stride", type=int, default=EncodeParams.stride)
+    p.add_argument("--min-overlap", type=float, default=EncodeParams.min_overlap)
     p.add_argument("--flip", action="store_true", help="also write mirrored views")
     p.add_argument("--scales", default="1.0", help="comma list; extra views per scale")
     p.set_defaults(func=_cmd_encode)
@@ -396,10 +399,10 @@ def build_parser() -> _Parser:
     common(p, seed=False)
     p.add_argument("--tensors", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--topk", type=int, default=100)
-    p.add_argument("--min-score", type=float, default=0.0)
-    p.add_argument("--kp-min-score", type=float, default=0.1)
-    p.add_argument("--snap-margin", type=float, default=1.0)
+    p.add_argument("--topk", type=int, default=DecodeConfig.top_k)
+    p.add_argument("--min-score", type=float, default=DecodeConfig.min_center_score)
+    p.add_argument("--kp-min-score", type=float, default=DecodeConfig.min_kp_candidate_score)
+    p.add_argument("--snap-margin", type=float, default=DecodeConfig.snap_box_margin)
     p.add_argument("--nms-iou", type=float, default=0.5)
     p.add_argument("--no-nms", action="store_true")
     p.add_argument("--flip", action="store_true", help="fuse each view with its mirrored file")
@@ -420,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--mode", choices=sorted(_MODES))
     p.add_argument("--sigmas", help="JSON file with 294 per-landmark tolerances")
-    p.add_argument("--maxdets", type=int, default=100)
+    p.add_argument("--maxdets", type=int, default=EvalConfig.max_detections_per_image)
     p.add_argument("--out-json")
     p.add_argument("--out-csv")
     p.add_argument("--plot", help="directory for PR curve CSV and SVG")
@@ -428,10 +431,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("roundtrip", help="synth, encode, decode, evaluate in one go")
     common(p)
-    p.add_argument("--images", type=int, default=16)
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--occlusion", type=float, default=0.0)
+    p.add_argument("--images", type=int, default=SynthParams.num_images)
+    p.add_argument("--width", type=int, default=SynthParams.image_width)
+    p.add_argument("--height", type=int, default=SynthParams.image_height)
+    p.add_argument("--occlusion", type=float, default=SynthParams.occlusion_prob)
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("strategies", help="compare post-processing strategies on noisy views")
@@ -441,8 +444,8 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--min-objects", type=int, default=2)
     p.add_argument("--max-objects", type=int, default=4)
-    p.add_argument("--dropout", type=float, default=0.18)
-    p.add_argument("--duplicates", type=float, default=0.3)
+    p.add_argument("--dropout", type=float, default=NoiseParams.dropout_prob)
+    p.add_argument("--duplicates", type=float, default=NoiseParams.duplicate_prob)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--plot", help="directory for the speed-accuracy SVG")
     p.set_defaults(func=_cmd_strategies)

@@ -24,17 +24,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EncodeParams:
+    """Head geometry: the output stride in pixels and the IoU that sizes each item's peaks, its landmarks' too."""
+
     stride: int = 4
     min_overlap: float = 0.7
-    keypoint_radius_scale: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.stride, numbers.Integral) or self.stride < 1:
             raise ValueError(f"stride must be an integer >= 1, got {self.stride!r}")
         if not 0 < self.min_overlap < 1:
             raise ValueError(f"min_overlap must be in (0, 1), got {self.min_overlap}")
-        if not (math.isfinite(self.keypoint_radius_scale) and self.keypoint_radius_scale > 0):
-            raise ValueError(f"keypoint_radius_scale must be positive and finite, got {self.keypoint_radius_scale}")
 
 
 def gaussian_radius(box_w_cells: float, box_h_cells: float, min_overlap: float) -> float:
@@ -171,8 +170,8 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
     Per item: a Gaussian peak on the item's category channel at the box
     center cell, width/height and the fractional center position at that
     cell, and for every labeled landmark its center-relative offset, a peak
-    on its global keypoint channel, and its fractional position at the
-    landmark cell. Image dims not divisible by the stride are padded up.
+    of the center peak's radius on its global keypoint channel, and its
+    fractional position there. Image dims not divisible by the stride are padded up.
 
     Center-cell collisions keep the larger-area item's regression values;
     fractional landmark offsets keep the first writer's values. Both are
@@ -238,7 +237,7 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
         lrow = np.minimum(ly_cell.astype(np.int64), grid_h - 1)
 
         write("kp_offset", (2 * g * plane + cell, (2 * g + 1) * plane + cell), (lx_cell - col, ly_cell - row))
-        stamp("kp_heatmap", g, lrow, lcol, radius * params.keypoint_radius_scale)
+        stamp("kp_heatmap", g, lrow, lcol, radius)
         write("kp_refine_offset", lrow * grid_w + lcol, np.stack((lx_cell - lcol, ly_cell - lrow), axis=1))
 
     if center_conflicts:

@@ -14,7 +14,6 @@ still regresses sensibly where its center heatmap under-fires.
 
 from __future__ import annotations
 
-import numbers
 import zlib
 from dataclasses import dataclass, replace
 
@@ -36,15 +35,22 @@ from .scene import (
 
 _PLACEMENT_ATTEMPTS = 200
 
+# noisy_view_tensors' fixed noise model: peak heights, damped in rescaled views,
+# and duplicates DUPLICATE_JITTER_CELLS off diagonally at a fraction of their object's height.
+PEAK_HEIGHT_RANGE = (0.55, 1.0)
+DUPLICATE_HEIGHT_RANGE = (0.6, 0.9)
+DUPLICATE_JITTER_CELLS = 2
+SCALE_DAMPING = 0.9
+
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Knobs for the synthetic scene sampler.
+    """What the synthetic scene sampler draws: image count and size, objects, boxes and landmark visibility.
 
     With separation on, objects are rejected until center cells sit at least
     2x the larger Gaussian radius apart and cell-space boxes keep a two-cell
-    gap, and landmarks occupy distinct grid cells within each box. That is
-    what makes encode -> decode exact.
+    gap, and landmarks occupy distinct grid cells within each box, all in
+    the default EncodeParams geometry. That is what makes encode -> decode exact.
 
     avoid_cell_boundaries keeps centers and landmarks off exact cell edges,
     where a mirrored view lands one cell over and tensor-space flip fusion
@@ -65,8 +71,6 @@ class SynthParams:
     min_visible: int = 0
     separation: bool = True
     avoid_cell_boundaries: bool = False
-    stride: int = 4
-    min_overlap: float = 0.7
 
     def __post_init__(self):
         for name in ("occlusion_prob", "unlabeled_prob"):
@@ -87,8 +91,6 @@ class SynthParams:
             raise ValueError(f"keypoint_scatter must be positive, got {self.keypoint_scatter}")
         if self.min_visible < 0:
             raise ValueError("min_visible must be non-negative")
-        if not isinstance(self.stride, numbers.Integral) or self.stride < 1 or not 0 < self.min_overlap < 1:
-            raise ValueError("stride must be an integer >= 1 and min_overlap in (0, 1)")
 
 
 def _cell_of(v: float, stride: int, limit: int) -> int:
@@ -159,7 +161,8 @@ def synth_scenes(params: SynthParams, table: CategoryTable | None = None) -> lis
     """Deterministically sample scenes; same params give identical output."""
     table = table or default_table()
     rng = np.random.default_rng(params.seed)
-    stride = params.stride
+    encoding = EncodeParams()
+    stride = encoding.stride
     grid_w = -(-params.image_width // stride)
     grid_h = -(-params.image_height // stride)
 
@@ -183,7 +186,7 @@ def synth_scenes(params: SynthParams, table: CategoryTable | None = None) -> lis
                 if not params.separation:
                     info = None
                     break
-                info = _separated(box, placed, stride, grid_w, grid_h, params.min_overlap)
+                info = _separated(box, placed, stride, grid_w, grid_h, encoding.min_overlap)
                 if info is not None:
                     break
             else:
@@ -236,7 +239,7 @@ def synth_scenes(params: SynthParams, table: CategoryTable | None = None) -> lis
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Detector-style corruption applied per test-time view.
+    """The seed and per-view rates of detector-style corruption; heights, jitter and damping are fixed above.
 
     Peak heights are drawn once per object and shared across views so that
     score ranking stays coherent; dropout and duplication are drawn
@@ -245,26 +248,14 @@ class NoiseParams:
     """
 
     seed: int = 0
-    peak_height_range: tuple[float, float] = (0.55, 1.0)
     dropout_prob: float = 0.18
     duplicate_prob: float = 0.3
-    duplicate_height_range: tuple[float, float] = (0.6, 0.9)
-    duplicate_jitter_cells: int = 2
-    scale_damping: float = 0.9
 
     def __post_init__(self):
-        for name in ("peak_height_range", "duplicate_height_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi <= 1:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi <= 1")
         for name in ("dropout_prob", "duplicate_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.duplicate_jitter_cells < 1:
-            raise ValueError("duplicate_jitter_cells must be >= 1")
-        if not 0 < self.scale_damping <= 1:
-            raise ValueError("scale_damping must be in (0, 1]")
 
 
 def _stream(noise_seed: int, image_id: str, label: str) -> np.random.Generator:
@@ -282,49 +273,48 @@ def noisy_view_tensors(
     noise: NoiseParams,
     scale: float = 1.0,
     flipped: bool = False,
-    encode_params: EncodeParams = EncodeParams(),
 ) -> HeadTensorSet:
     """Encode one corrupted test-time view of a scene.
 
     The view is the scene scaled, then mirrored with its width padded to a
     multiple of the stride (the mirror flip_tensors undoes), and encoded
-    cleanly, after which per-object center peaks are rescaled, dropped, or
-    duplicated. Regression
-    channels for dropped objects are left in place so that tensor-space
-    fusion of another view's surviving peak still decodes the right box.
+    cleanly in the default EncodeParams geometry, after which per-object
+    center peaks are rescaled, dropped, or duplicated. Regression channels
+    for dropped objects are left in place so that tensor-space fusion of
+    another view's surviving peak still decodes the right box.
 
     center, wh and center_offset come back as float32 arrays; the other
     tensors stay encode_scene's `heads._SparseGrid`s.
     """
+    encoding = EncodeParams()
     view = scene
     if scale != 1.0:
         view = scale_scene(view, scale)
     if flipped:
-        view = mirror_scene(_stride_padded(view, encode_params.stride), table)
-    tensors = encode_scene(view, table, encode_params)
+        view = mirror_scene(_stride_padded(view, encoding.stride), table)
+    tensors = encode_scene(view, table, encoding)
     # Writable copies of the three tensors edited below.
     tensors = replace(tensors, **{n: np.asarray(getattr(tensors, n)) for n in ("center", "wh", "center_offset")})
 
     heights = _stream(noise.seed, scene.image_id, "heights")
-    lo, hi = noise.peak_height_range
-    base = heights.uniform(lo, hi, size=len(view.items))
+    base = heights.uniform(*PEAK_HEIGHT_RANGE, size=len(view.items))
     if scale != 1.0:
-        base = base * noise.scale_damping
+        base = base * SCALE_DAMPING
 
     drop_rng = _stream(noise.seed, scene.image_id, f"drop:{scale:g}:{int(flipped)}")
     dropped = drop_rng.random(len(view.items)) < noise.dropout_prob
 
     dup_rng = _stream(noise.seed, scene.image_id, f"dup:{scale:g}")
     duplicated = dup_rng.random(len(view.items)) < noise.duplicate_prob
-    jitter = noise.duplicate_jitter_cells * (2 * dup_rng.integers(0, 2, size=(len(view.items), 2)) - 1)
-    dup_factor = dup_rng.uniform(*noise.duplicate_height_range, size=len(view.items))
+    jitter = DUPLICATE_JITTER_CELLS * (2 * dup_rng.integers(0, 2, size=(len(view.items), 2)) - 1)
+    dup_factor = dup_rng.uniform(*DUPLICATE_HEIGHT_RANGE, size=len(view.items))
 
-    stride = encode_params.stride
+    stride = encoding.stride
     grid_h, grid_w = tensors.height, tensors.width
     geometry = []
     for i, item in enumerate(view.items):
         x1, y1, x2, y2 = item.box
-        radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, encode_params.min_overlap)
+        radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, encoding.min_overlap)
         col = _cell_of((x1 + x2) / 2, stride, grid_w)
         row = _cell_of((y1 + y2) / 2, stride, grid_h)
         channel = tensors.center[item.category_id - 1]

@@ -107,3 +107,27 @@ def test_regression_against_the_bound(bench_pairs):
     assert regression(canned_pairs(), rate) == ""
     table = bench_pairs.format_rows(bench_pairs.summarize(pairs, bounded[:1])).splitlines()
     assert table[1].endswith("0/10  no    worse")
+
+
+def test_exit_status_follows_worse_rows(bench_pairs, monkeypatch, tmp_path, capsys):
+    # BENCHMARK.json bounds latency_p50_ms at 0.25: a change 30 % slower reads worse, 10 % slower does not.
+    parent_dir = tmp_path / "parent"
+
+    def exit_status(slowdown):
+        def fake_run(checkout, args):
+            calls.append(checkout)
+            return run(7.0, 100.0) if checkout == parent_dir.resolve() else run(7.0 * slowdown, 100.0)
+
+        calls = []
+        monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
+        status = bench_pairs.main([str(parent_dir), "--workload", "serve_single", "--pairs", "4"])
+        assert len(calls) == 8
+        return status
+
+    def worse_rows():
+        return [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" worse")]
+
+    assert exit_status(1.3) == 1
+    assert worse_rows() == ["latency_p50_ms"]
+    assert exit_status(1.1) == 0
+    assert worse_rows() == []

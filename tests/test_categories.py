@@ -167,6 +167,15 @@ def test_json_boolean_is_no_category_integer(field, message):
         load_category_table(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", [None, 3, 2.5, True, ["shirt"], {"a": 1}],
+                         ids=["null", "integer", "float", "true", "list", "object"])
+def test_category_name_that_is_no_string_rejected(name):
+    doc = config_doc()
+    doc["categories"][4]["name"] = name
+    with pytest.raises(CategoryConfigError, match=r"^categories\[4\]\.name must be a string, got "):
+        load_category_table(json.dumps(doc))
+
+
 @pytest.mark.parametrize("pair", [[True, 5], [0, True], [False, 5]])
 def test_json_boolean_is_no_flip_pair_index(pair):
     with pytest.raises(CategoryConfigError, match=r"flip_pairs\[0\] = .* is not a pair of distinct indices"):

@@ -135,6 +135,16 @@ class TestEncodeDecode:
         assert f"error: image 1: image_id {image_id!r} cannot name a view file" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.dmrk"))
 
+    def test_encode_rejects_a_repeated_image_id(self, workspace, tmp_path, capsys):
+        # Both scenes' views would go to one file, the second overwriting the first.
+        doc = json.loads((workspace / "scenes.json").read_text("utf-8"))
+        doc["images"][0]["image_id"] = doc["images"][1]["image_id"] = "a"
+        scenes, out = tmp_path / "scenes.json", tmp_path / "views"
+        scenes.write_text(json.dumps(doc), "utf-8")
+        assert main(["encode", "--scenes", str(scenes), "--out-dir", str(out)]) == 2
+        assert "error: image 1: image_id 'a' repeats image 0's" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.dmrk"))
+
     @pytest.mark.parametrize("scales,message", [
         ("inf", "--scales must be positive and finite, got inf in 'inf'"),
         ("nan", "--scales must be positive and finite, got nan in 'nan'"),

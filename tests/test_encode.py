@@ -171,9 +171,6 @@ def test_encode_params_validation():
         with pytest.raises(ValueError, match="stride must be an integer"):
             EncodeParams(stride=stride)
     assert EncodeParams(stride=np.int64(8)).stride == 8
-    for scale in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="keypoint_radius_scale must be positive and finite"):
-            EncodeParams(keypoint_radius_scale=scale)
 
 
 def test_encode_empty_scene_is_all_zero(table):
@@ -324,7 +321,7 @@ def dense_encode_scene(scene, table, params=EncodeParams()):
             lx_cell, ly_cell = lx / stride, ly / stride
             lcol, lrow = min(int(lx_cell), grid_w - 1), min(int(ly_cell), grid_h - 1)
             tensors.kp_offset[2 * g : 2 * g + 2, row, col] = (lx_cell - col, ly_cell - row)
-            _dense_render(tensors.kp_heatmap[g], (lrow, lcol), radius * params.keypoint_radius_scale)
+            _dense_render(tensors.kp_heatmap[g], (lrow, lcol), radius)
             if not refine_set[lrow, lcol]:
                 refine_set[lrow, lcol] = True
                 tensors.kp_refine_offset[:, lrow, lcol] = (lx_cell - lcol, ly_cell - lrow)

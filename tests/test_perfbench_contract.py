@@ -4,8 +4,9 @@ perfbench (`perfbench/`) times clothdet by wrapping module attributes by
 name, and its span counters and input writer read values of what clothdet
 returns. A wrapped name that is no longer called, or a value that no longer
 reads, would otherwise surface only as a `BenchError` after minutes of
-benchmarking. This test runs perfbench's own `Tracer`, `install_spans` and
-`Program` over the calls of its four workloads.
+benchmarking. These tests run perfbench's own `Tracer`, `install_spans` and
+`Program` over the calls of its four workloads, and its input writer and
+workloads themselves on pools of a few images.
 """
 
 import importlib
@@ -65,3 +66,25 @@ def test_input_writer_reads_encoder_and_noisy_view_sets(perfbench, table):
         flat = np.concatenate([np.asarray(grid).reshape(-1) for grid in tensors.named().values()])
         np.testing.assert_array_equal(indices, np.flatnonzero(flat))
         np.testing.assert_array_equal(values, flat[indices])
+
+
+# perfbench's pool sizes cut to a few images each; TTA_CLEAN_CANDIDATES stays as it is.
+SMALL_POOLS = {"SERVE_POOL": 2, "SERVE_CLEAN": 1, "TTA_POOL": 1, "TTA_CLEAN": 1, "ENCODE_POOL": 1,
+               "EVAL_IMAGES": 5, "EVAL_WARMUP_IMAGES": 2}
+
+
+@pytest.mark.parametrize("workload", ["serve_single", "tta_files", "encode_files", "eval_dataset"])
+def test_input_writer_and_workload_run_one_round(perfbench, monkeypatch, tmp_path, workload):
+    inputs, workloads = perfbench["inputs"], perfbench["workloads"]
+    for name, size in SMALL_POOLS.items():
+        monkeypatch.setattr(inputs, name, size)
+    inputs.generate(workload, 1, tmp_path / "inputs")
+    wl, _ = workloads.set_up(workload, tmp_path / "inputs", tmp_path / "work")
+    for key in wl.ops():
+        wl.prepare(key)
+        output = wl.call(key)
+        assert not wl.failed(output), key
+        wl.after(key, output)
+    # finish() checks the outputs: the brute-force scorer, and mAP 1.0 on the clean views.
+    map_box, map_pt = wl.finish()
+    assert 0.0 <= map_box <= 1.0 and 0.0 <= map_pt <= 1.0

@@ -10,7 +10,6 @@ from clothdet import (
     Detection,
     DecodeConfig,
     HeadTensorSet,
-    NoiseParams,
     SynthParams,
     TensorValidationError,
     decode_scene,
@@ -24,14 +23,13 @@ from clothdet import (
     iou,
     new_head_tensors,
     nms,
-    noisy_view_tensors,
     rescale_detections,
     synth_scenes,
     write_tensors,
 )
 from clothdet.cli import main
 from clothdet.decode import extract_peaks
-from clothdet.scene import mirror_scene, scale_scene
+from clothdet.scene import _stride_padded, mirror_scene, scale_scene
 
 import unbatched_reference
 
@@ -399,14 +397,14 @@ class TestInfer:
 
     @pytest.mark.parametrize("width", [501, 509, 510])
     def test_flip_fusion_is_exact_at_widths_off_the_stride(self, paired_table, width):
-        # Without noise, noisy_view_tensors is the encoder's view. Its mirrored
-        # view is the mirror of the stride-padded image, which flip_tensors undoes.
+        # The mirrored view is the mirror of the stride-padded image, as
+        # clothdet encode writes it, which flip_tensors undoes.
         params = SynthParams(seed=7, num_images=8, image_width=width, image_height=512, avoid_cell_boundaries=True)
         scenes = synth_scenes(params, paired_table)
-        clean = NoiseParams(peak_height_range=(1.0, 1.0), dropout_prob=0.0, duplicate_prob=0.0)
         dets = {
             s.image_id: infer(
-                [(1.0, noisy_view_tensors(s, paired_table, clean), noisy_view_tensors(s, paired_table, clean, flipped=True))],
+                [(1.0, encode_scene(s, paired_table),
+                  encode_scene(mirror_scene(_stride_padded(s, 4), paired_table), paired_table))],
                 paired_table, DecodeConfig(), 0.5,
             )
             for s in scenes

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clothdet import (
+    EncodeParams,
     NoiseParams,
     SynthParams,
     encode_scene,
@@ -9,7 +10,23 @@ from clothdet import (
     noisy_view_tensors,
     synth_scenes,
 )
-from clothdet.scene import validate_scene
+from clothdet.scene import scale_scene, validate_scene
+from clothdet.synth import DUPLICATE_JITTER_CELLS, PEAK_HEIGHT_RANGE, SCALE_DAMPING
+
+GEOMETRY = EncodeParams()
+
+
+def center_cells(scene):
+    """(row, col, radius) of each item's center peak in the default encoder geometry."""
+    stride = GEOMETRY.stride
+    grid_h, grid_w = -(-scene.height // stride), -(-scene.width // stride)
+    cells = []
+    for item in scene.items:
+        x1, y1, x2, y2 = item.box
+        radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, GEOMETRY.min_overlap)
+        row, col = min(int((y1 + y2) / 2 / stride), grid_h - 1), min(int((x1 + x2) / 2 / stride), grid_w - 1)
+        cells.append((row, col, radius))
+    return cells
 
 
 def scenes_equal(a, b):
@@ -78,13 +95,8 @@ class TestSynthScenes:
 
     def test_separation_distances(self, table):
         params = SynthParams(seed=7, num_images=6, min_objects=3, max_objects=6)
-        stride = params.stride
         for scene in synth_scenes(params, table):
-            centers = []
-            for item in scene.items:
-                x1, y1, x2, y2 = item.box
-                radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, params.min_overlap)
-                centers.append(((y1 + y2) / 2 // stride, (x1 + x2) / 2 // stride, radius))
+            centers = center_cells(scene)
             for i, (r1, c1, rad1) in enumerate(centers):
                 for r2, c2, rad2 in centers[i + 1:]:
                     assert np.hypot(r1 - r2, c1 - c2) >= 2 * max(rad1, rad2) + 1
@@ -97,7 +109,7 @@ class TestSynthScenes:
 
     def test_avoid_cell_boundaries(self, table):
         params = SynthParams(seed=9, num_images=6, avoid_cell_boundaries=True)
-        stride = params.stride
+        stride = GEOMETRY.stride
         for scene in synth_scenes(params, table):
             for item in scene.items:
                 x1, y1, x2, y2 = item.box
@@ -117,8 +129,8 @@ class TestSynthScenes:
             for item in scene.items:
                 cx = (item.box[0] + item.box[2]) / 2
                 cy = (item.box[1] + item.box[3]) / 2
-                assert (np.abs(item.landmarks[:, 0] - cx) <= 40 + params.stride).all()
-                assert (np.abs(item.landmarks[:, 1] - cy) <= 40 + params.stride).all()
+                assert (np.abs(item.landmarks[:, 0] - cx) <= 40 + GEOMETRY.stride).all()
+                assert (np.abs(item.landmarks[:, 1] - cy) <= 40 + GEOMETRY.stride).all()
 
     def test_image_ids_are_unique_and_seeded(self, table):
         scenes = synth_scenes(SynthParams(seed=12, num_images=3), table)
@@ -135,9 +147,6 @@ class TestSynthScenes:
         {"keypoint_scatter": 0.0},
         {"keypoint_scatter": float("nan")},
         {"min_visible": -1},
-        {"stride": 0},
-        {"stride": 2.5},
-        {"min_overlap": 1.0},
     ])
     def test_param_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -155,11 +164,27 @@ class TestNoisyViews:
 
     def test_clean_settings_reproduce_encoder(self, table):
         scene = synth_scenes(SynthParams(seed=21, num_images=1, min_objects=2, max_objects=3), table)[0]
-        noise = NoiseParams(seed=0, peak_height_range=(1.0, 1.0), dropout_prob=0.0, duplicate_prob=0.0)
+        noise = NoiseParams(seed=0, dropout_prob=0.0, duplicate_prob=0.0)
         noisy = noisy_view_tensors(scene, table, noise)
         clean = encode_scene(scene, table)
         for name, grid in clean.named().items():
-            np.testing.assert_array_equal(noisy.named()[name], grid, err_msg=name)
+            if name != "center":
+                np.testing.assert_array_equal(noisy.named()[name], grid, err_msg=name)
+        # Each object's peak window is the encoder's, scaled by one height.
+        clean_center = np.asarray(clean.center)
+        heights = []
+        for item, (row, col, radius) in zip(scene.items, center_cells(scene)):
+            extent = int(radius)
+            window = (item.category_id - 1, slice(max(row - extent, 0), row + extent + 1),
+                      slice(max(col - extent, 0), col + extent + 1))
+            assert clean_center[item.category_id - 1, row, col] == 1.0
+            height = float(noisy.center[item.category_id - 1, row, col])
+            np.testing.assert_allclose(noisy.center[window], clean_center[window] * height, rtol=1e-6)
+            heights.append(height)
+        lo, hi = PEAK_HEIGHT_RANGE
+        assert all(np.float32(lo) <= h <= np.float32(hi) for h in heights)
+        assert len(set(heights)) == len(heights) > 1
+        assert not noisy.center[clean_center == 0].any()
 
     def test_full_dropout_erases_peaks_but_not_regression(self, table):
         scene = synth_scenes(SynthParams(seed=22, num_images=1, min_objects=2, max_objects=3), table)[0]
@@ -172,33 +197,31 @@ class TestNoisyViews:
         np.testing.assert_array_equal(noisy.kp_heatmap, clean.kp_heatmap)
 
     def test_peak_heights_rescaled(self, table):
+        # An object's height lies in PEAK_HEIGHT_RANGE, and a rescaled view damps it by SCALE_DAMPING.
         scene = synth_scenes(SynthParams(seed=23, num_images=1, min_objects=2, max_objects=2), table)[0]
-        noise = NoiseParams(seed=2, peak_height_range=(0.55, 0.9), dropout_prob=0.0, duplicate_prob=0.0)
-        noisy = noisy_view_tensors(scene, table, noise)
-        peak = float(noisy.center.max())
-        assert 0.0 < peak <= 0.9
+        noise = NoiseParams(seed=2, dropout_prob=0.0, duplicate_prob=0.0)
+        plain = noisy_view_tensors(scene, table, noise)
+        scaled = noisy_view_tensors(scene, table, noise, scale=0.75)
+        lo, hi = PEAK_HEIGHT_RANGE
+        for item, (row, col, _), (s_row, s_col, _) in zip(
+            scene.items, center_cells(scene), center_cells(scale_scene(scene, 0.75))
+        ):
+            height = float(plain.center[item.category_id - 1, row, col])
+            assert np.float32(lo) <= height <= np.float32(hi)
+            damped = float(scaled.center[item.category_id - 1, s_row, s_col])
+            assert damped == pytest.approx(height * SCALE_DAMPING, rel=1e-6)
 
     def test_duplicates_copy_regression(self, table):
         scene = synth_scenes(SynthParams(seed=24, num_images=1, min_objects=2, max_objects=2), table)[0]
-        noise = NoiseParams(seed=3, dropout_prob=0.0, duplicate_prob=1.0, duplicate_jitter_cells=2)
+        noise = NoiseParams(seed=3, dropout_prob=0.0, duplicate_prob=1.0)
         noisy = noisy_view_tensors(scene, table, noise)
         clean = encode_scene(scene, table)
-        stride = 4
-        for item in scene.items:
-            col = int((item.box[0] + item.box[2]) / 2 / stride)
-            row = int((item.box[1] + item.box[3]) / 2 / stride)
-            near = noisy.wh[:, max(row - 2, 0):row + 3, max(col - 2, 0):col + 3]
+        jitter = DUPLICATE_JITTER_CELLS
+        for row, col, _ in center_cells(scene):
+            near = noisy.wh[:, max(row - jitter, 0):row + jitter + 1, max(col - jitter, 0):col + jitter + 1]
             target = clean.wh[:, row, col].reshape(2, 1, 1)
             assert (np.abs(near - target) < 1e-6).all(axis=0).sum() >= 2
 
     def test_noise_param_validation(self):
         with pytest.raises(ValueError):
-            NoiseParams(peak_height_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            NoiseParams(duplicate_height_range=(0.9, 0.6))
-        with pytest.raises(ValueError):
             NoiseParams(dropout_prob=1.2)
-        with pytest.raises(ValueError):
-            NoiseParams(duplicate_jitter_cells=0)
-        with pytest.raises(ValueError):
-            NoiseParams(scale_damping=0.0)

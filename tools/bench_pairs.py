@@ -15,7 +15,8 @@ For a metric with a `bound`, the last column says `worse` when the change's
 median is worse than the parent's by more than that fraction of it, and
 `unresolved` when the parent's interquartile range is wider than that
 fraction of its median, so that such a regression could not be told apart.
-Exits 1 when any run reports `"correct": false` or a failed operation.
+Exits 1 when any run reports `"correct": false` or a failed operation, or
+when any metric's regression column reads `worse`.
 """
 
 from __future__ import annotations
@@ -130,11 +131,12 @@ def main(argv=None) -> int:
         pairs.append((parent_run, change_run))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs: {parent} -> {change}")
-    print(format_rows(summarize(pairs, metrics)))
+    rows = summarize(pairs, metrics)
+    print(format_rows(rows))
     failures = _failures(pairs)
     for line in failures:
         print(f"not correct: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failures or any(row["regression"] == "worse" for row in rows) else 0
 
 
 if __name__ == "__main__":
