@@ -24,7 +24,7 @@ from .charts import line_chart, scatter_chart
 from .decode import DecodeConfig, decode_scene
 from .encode import EncodeParams, encode_scene
 from .fileio import read_detections, read_scenes, read_tensors, write_detections, write_scenes, write_tensors
-from .heads import require_shapes
+from .heads import require_valid
 from .metrics import (
     VISIBLE_AND_OCCLUDED,
     VISIBLE_ONLY,
@@ -215,7 +215,7 @@ def _cmd_fuse(args) -> int:
     table = _load_table(args)
     sets = [read_tensors(path) for path in args.inputs]
     for tensors in sets:
-        require_shapes(tensors, table)
+        require_valid(tensors, table)
     try:
         unflip = {int(tok) for tok in args.unflip.split(",") if tok} if args.unflip else set()
     except ValueError:
@@ -332,8 +332,6 @@ def _cmd_strategies(args) -> int:
         max_box_size=96,
         avoid_cell_boundaries=True,
     )
-    if args.width % 4 or args.height % 4:
-        raise ValueError("strategy comparison needs image dims divisible by 4 so the 0.75 scale stays integral")
     scenes = synth_scenes(params, table)
     noise = NoiseParams(seed=args.seed, dropout_prob=args.dropout, duplicate_prob=args.duplicates)
     report = compare_strategies(scenes, table, noise)

@@ -76,6 +76,22 @@ def gaussian_radius(box_w_cells: float, box_h_cells: float, min_overlap: float) 
     return max(0.0, min(r1, r2, r3))
 
 
+def _center_peak(box, grid_h: int, grid_w: int, params: EncodeParams) -> tuple[int, int, float]:
+    """The (row, col) cell of a pixel box's center peak on a grid_h x grid_w grid, and the peak's radius.
+
+    The cell holds the box center, clamped to the last row and column; a
+    box without area gets radius 0.
+    """
+    x1, y1, x2, y2 = box
+    stride = params.stride
+    w_cells = (x2 - x1) / stride
+    h_cells = (y2 - y1) / stride
+    col = min(int((x1 + x2) / 2 / stride), grid_w - 1)
+    row = min(int((y1 + y2) / 2 / stride), grid_h - 1)
+    radius = gaussian_radius(w_cells, h_cells, params.min_overlap) if w_cells > 0 and h_cells > 0 else 0.0
+    return row, col, radius
+
+
 def _stamps(
     rows: np.ndarray, cols: np.ndarray, radius: float, height: int, width: int, peak: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -202,17 +218,12 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
     center_conflicts = 0
 
     for item in scene.items:
+        row, col, radius = _center_peak(item.box, grid_h, grid_w, params)
+        stamp("center", np.array([item.category_id - 1]), np.array([row]), np.array([col]), radius)
+
         x1, y1, x2, y2 = item.box
         w_cells = (x2 - x1) / stride
         h_cells = (y2 - y1) / stride
-        cx = (x1 + x2) / 2 / stride
-        cy = (y1 + y2) / 2 / stride
-        col = min(int(cx), grid_w - 1)
-        row = min(int(cy), grid_h - 1)
-
-        radius = gaussian_radius(w_cells, h_cells, params.min_overlap) if w_cells > 0 and h_cells > 0 else 0.0
-        stamp("center", np.array([item.category_id - 1]), np.array([row]), np.array([col]), radius)
-
         area = w_cells * h_cells
         owner_area = claims.get((row, col))
         owns_cell = owner_area is None or area > owner_area
@@ -224,7 +235,7 @@ def encode_scene(scene: Scene, table: CategoryTable, params: EncodeParams = Enco
 
         cell = row * grid_w + col
         write("wh", (cell, plane + cell), (w_cells, h_cells))
-        write("center_offset", (cell, plane + cell), (cx - col, cy - row))
+        write("center_offset", (cell, plane + cell), ((x1 + x2) / 2 / stride - col, (y1 + y2) / 2 / stride - row))
 
         labeled = np.flatnonzero(item.landmarks[:, 2] != 0)
         if not labeled.size:

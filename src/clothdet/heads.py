@@ -23,14 +23,13 @@ the cells read. Grids are read-only: a caller that edits a tensor takes
 `np.array(tensor)` and puts it in a new set with `dataclasses.replace`.
 
 `require_valid` is the one validation entry point. decode_scene calls it
-on every set it decodes, and infer on both views of a mirrored pair before
-fusing them. It checks channel counts, spatial dims, stride and the values
-of both heatmaps, and raises `TensorValidationError` with every issue
-found. It bounds a dense float32 heatmap through `_bit_fold`, the column
-maxima of its bits folded up to 48 ways, and returns the folds so that
-decode finds the landmark peak candidates without a second pass over the
-heatmap. `require_shapes` is its shape part alone, for `clothdet fuse`,
-which transforms sets without decoding them.
+on every set it decodes, infer on both views of a mirrored pair before
+fusing them, and `clothdet fuse` on every input before any flip. It
+checks channel counts, spatial dims, stride and the values of both
+heatmaps, and raises `TensorValidationError` with every issue found. It
+bounds a dense float32 heatmap through `_bit_fold`, the column maxima of
+its bits folded up to 48 ways, and returns the folds so that decode finds
+the landmark peak candidates without a second pass over the heatmap.
 """
 
 from __future__ import annotations
@@ -287,10 +286,3 @@ def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> dict[str, np.
     if issues:
         raise TensorValidationError(issues)
     return folds
-
-
-def require_shapes(tensors: HeadTensorSet, table: CategoryTable) -> None:
-    """The shape part of require_valid, for callers that transform a set before decoding it."""
-    issues = _shape_issues(tensors, len(table.specs))
-    if issues:
-        raise TensorValidationError(issues)

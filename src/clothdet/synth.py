@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .categories import CategoryTable, default_table
-from .encode import EncodeParams, encode_scene, gaussian_radius, render_gaussian
+from .encode import EncodeParams, _center_peak, encode_scene, render_gaussian
 from .heads import HeadTensorSet
 from .scene import (
     VIS_OCCLUDED,
@@ -93,17 +93,10 @@ class SynthParams:
             raise ValueError("min_visible must be non-negative")
 
 
-def _cell_of(v: float, stride: int, limit: int) -> int:
-    return min(int(v / stride), limit - 1)
-
-
-def _separated(box, placed, stride: int, grid_w: int, grid_h: int, min_overlap: float) -> tuple | None:
+def _separated(box, placed, grid_h: int, grid_w: int, encoding: EncodeParams) -> tuple | None:
     """Return placement info if `box` keeps the taught distances, else None."""
-    x1, y1, x2, y2 = box
-    radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, min_overlap)
-    col = _cell_of((x1 + x2) / 2, stride, grid_w)
-    row = _cell_of((y1 + y2) / 2, stride, grid_h)
-    cells = (x1 // stride, y1 // stride, x2 // stride, y2 // stride)
+    row, col, radius = _center_peak(box, grid_h, grid_w, encoding)
+    cells = tuple(v // encoding.stride for v in box)
     for other_row, other_col, other_radius, other_cells in placed:
         dist = np.hypot(row - other_row, col - other_col)
         if dist < 2.0 * max(radius, other_radius) + 1.0:
@@ -186,7 +179,7 @@ def synth_scenes(params: SynthParams, table: CategoryTable | None = None) -> lis
                 if not params.separation:
                     info = None
                     break
-                info = _separated(box, placed, stride, grid_w, grid_h, encoding.min_overlap)
+                info = _separated(box, placed, grid_h, grid_w, encoding)
                 if info is not None:
                     break
             else:
@@ -279,7 +272,9 @@ def noisy_view_tensors(
     The view is the scene scaled, then mirrored with its width padded to a
     multiple of the stride (the mirror flip_tensors undoes), and encoded
     cleanly in the default EncodeParams geometry, after which per-object
-    center peaks are rescaled, dropped, or duplicated. Regression channels
+    center peaks are rescaled, dropped, or duplicated. Each object's peak
+    is found by the rule encode_scene places it with, so a box without
+    area has its one-cell peak rescaled like any other. Regression channels
     for dropped objects are left in place so that tensor-space fusion of
     another view's surviving peak still decodes the right box.
 
@@ -309,14 +304,10 @@ def noisy_view_tensors(
     jitter = DUPLICATE_JITTER_CELLS * (2 * dup_rng.integers(0, 2, size=(len(view.items), 2)) - 1)
     dup_factor = dup_rng.uniform(*DUPLICATE_HEIGHT_RANGE, size=len(view.items))
 
-    stride = encoding.stride
     grid_h, grid_w = tensors.height, tensors.width
     geometry = []
     for i, item in enumerate(view.items):
-        x1, y1, x2, y2 = item.box
-        radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, encoding.min_overlap)
-        col = _cell_of((x1 + x2) / 2, stride, grid_w)
-        row = _cell_of((y1 + y2) / 2, stride, grid_h)
+        row, col, radius = _center_peak(item.box, grid_h, grid_w, encoding)
         channel = tensors.center[item.category_id - 1]
         geometry.append((row, col, radius, channel))
         window = _window(channel, row, col, radius)

@@ -131,3 +131,16 @@ def test_exit_status_follows_worse_rows(bench_pairs, monkeypatch, tmp_path, caps
     assert worse_rows() == ["latency_p50_ms"]
     assert exit_status(1.1) == 0
     assert worse_rows() == []
+
+
+def test_run_order_alternates_starting_with_the_parent(bench_pairs, monkeypatch, tmp_path, capsys):
+    parent_dir = tmp_path / "parent"
+    order = []
+
+    def fake_run(checkout, args):
+        order.append("parent" if checkout == parent_dir.resolve() else "change")
+        return run(7.0, 100.0)
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
+    assert bench_pairs.main([str(parent_dir), "--workload", "serve_single", "--pairs", "3"]) == 0
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]

@@ -267,6 +267,13 @@ class TestEncodeDecode:
             if expected == 2:
                 assert f"error: {message}" in capsys.readouterr().err
                 assert not out.exists()
+        # fuse checks both inputs as decode --flip does, before unflipping either.
+        plain = next(p for p in tensors.glob("*.dmrk") if "@" not in p.name)
+        fused = tmp_path / "fused.dmrk"
+        assert main(["fuse", "--inputs", str(plain), str(plain.with_name(plain.stem + "@flip.dmrk")),
+                     "--unflip", "1", "--out", str(fused)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not fused.exists()
 
     @staticmethod
     def _flip_map_box(tmp_path, capsys, width, scales):
@@ -312,6 +319,26 @@ class TestFuse:
         assert main(["fuse", "--inputs", str(src[0]), str(src[1]), "--out", str(out),
                      "--weights", "2,0"]) == 0
         assert out.read_bytes() == src[0].read_bytes()
+
+    def test_unflip_then_plain_decode_matches_decode_flip(self, tmp_path, capsys):
+        scenes, tensors, fused = tmp_path / "scenes.json", tmp_path / "tensors", tmp_path / "fused"
+        assert main(["synth", "--out", str(scenes), "--seed", "7", "--images", "2",
+                     "--width", "256", "--height", "256"]) == 0
+        assert main(["encode", "--scenes", str(scenes), "--out-dir", str(tensors),
+                     "--flip", "--scales", "1.0,0.75"]) == 0
+        views = sorted(p for p in tensors.glob("*.dmrk") if not p.stem.endswith("@flip"))
+        assert len(views) == 4
+        fused.mkdir()
+        for view in views:
+            assert main(["fuse", "--inputs", str(view), str(view.with_name(view.stem + "@flip.dmrk")),
+                         "--unflip", "1", "--out", str(fused / view.name)]) == 0
+        by_flip, by_fuse = tmp_path / "flip.json", tmp_path / "fuse.json"
+        assert main(["decode", "--tensors", str(tensors), "--out", str(by_flip), "--flip",
+                     "--scales", "1.0,0.75"]) == 0
+        assert main(["decode", "--tensors", str(fused), "--out", str(by_fuse), "--scales", "1.0,0.75"]) == 0
+        assert "over 2 images" in capsys.readouterr().out
+        assert sum(map(len, read_detections(by_flip).values())) > 0
+        assert by_fuse.read_bytes() == by_flip.read_bytes()
 
     def test_wrong_channel_count_is_data_error(self, tmp_path, capsys):
         src, out = tmp_path / "t.dmrk", tmp_path / "f.dmrk"
@@ -435,4 +462,4 @@ class TestBenchCommands:
 
     def test_strategies_dims_must_be_divisible(self, capsys):
         assert main(["strategies", "--images", "1", "--width", "250", "--height", "256"]) == 2
-        assert "divisible by 4" in capsys.readouterr().err
+        assert "scale 0.75 does not keep image size integral" in capsys.readouterr().err

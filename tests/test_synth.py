@@ -10,7 +10,7 @@ from clothdet import (
     noisy_view_tensors,
     synth_scenes,
 )
-from clothdet.scene import scale_scene, validate_scene
+from clothdet.scene import VIS_VISIBLE, GroundTruthItem, Scene, scale_scene, validate_scene
 from clothdet.synth import DUPLICATE_JITTER_CELLS, PEAK_HEIGHT_RANGE, SCALE_DAMPING
 
 GEOMETRY = EncodeParams()
@@ -23,7 +23,8 @@ def center_cells(scene):
     cells = []
     for item in scene.items:
         x1, y1, x2, y2 = item.box
-        radius = gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, GEOMETRY.min_overlap)
+        w_cells, h_cells = (x2 - x1) / stride, (y2 - y1) / stride
+        radius = gaussian_radius(w_cells, h_cells, GEOMETRY.min_overlap) if w_cells > 0 and h_cells > 0 else 0.0
         row, col = min(int((y1 + y2) / 2 / stride), grid_h - 1), min(int((x1 + x2) / 2 / stride), grid_w - 1)
         cells.append((row, col, radius))
     return cells
@@ -153,6 +154,16 @@ class TestSynthScenes:
             SynthParams(**kwargs)
 
 
+def zero_area_scene(table):
+    """A 256x256 scene of two items, the second a zero-width box, each with every landmark at its box center."""
+    items = []
+    for category, box in ((1, (16, 40, 96, 120)), (2, (180, 60, 180, 197))):
+        landmarks = [((box[0] + box[2]) / 2, (box[1] + box[3]) / 2, VIS_VISIBLE)] * table.keypoint_count(category)
+        items.append(GroundTruthItem(category_id=category, box=np.array(box, dtype=np.float64),
+                                     landmarks=np.array(landmarks)))
+    return Scene(image_id="zero-area", width=256, height=256, items=tuple(items))
+
+
 class TestNoisyViews:
     def test_deterministic(self, table):
         scene = synth_scenes(SynthParams(seed=20, num_images=1, min_objects=3, max_objects=3), table)[0]
@@ -163,28 +174,30 @@ class TestNoisyViews:
             np.testing.assert_array_equal(b.named()[name], grid, err_msg=name)
 
     def test_clean_settings_reproduce_encoder(self, table):
-        scene = synth_scenes(SynthParams(seed=21, num_images=1, min_objects=2, max_objects=3), table)[0]
-        noise = NoiseParams(seed=0, dropout_prob=0.0, duplicate_prob=0.0)
-        noisy = noisy_view_tensors(scene, table, noise)
-        clean = encode_scene(scene, table)
-        for name, grid in clean.named().items():
-            if name != "center":
-                np.testing.assert_array_equal(noisy.named()[name], grid, err_msg=name)
-        # Each object's peak window is the encoder's, scaled by one height.
-        clean_center = np.asarray(clean.center)
-        heights = []
-        for item, (row, col, radius) in zip(scene.items, center_cells(scene)):
-            extent = int(radius)
-            window = (item.category_id - 1, slice(max(row - extent, 0), row + extent + 1),
-                      slice(max(col - extent, 0), col + extent + 1))
-            assert clean_center[item.category_id - 1, row, col] == 1.0
-            height = float(noisy.center[item.category_id - 1, row, col])
-            np.testing.assert_allclose(noisy.center[window], clean_center[window] * height, rtol=1e-6)
-            heights.append(height)
-        lo, hi = PEAK_HEIGHT_RANGE
-        assert all(np.float32(lo) <= h <= np.float32(hi) for h in heights)
-        assert len(set(heights)) == len(heights) > 1
-        assert not noisy.center[clean_center == 0].any()
+        sampled = synth_scenes(SynthParams(seed=21, num_images=1, min_objects=2, max_objects=3), table)[0]
+        # A box without area has the encoder's radius-0 peak, which the noisy view rescales too.
+        for scene in (sampled, zero_area_scene(table)):
+            noise = NoiseParams(seed=0, dropout_prob=0.0, duplicate_prob=0.0)
+            noisy = noisy_view_tensors(scene, table, noise)
+            clean = encode_scene(scene, table)
+            for name, grid in clean.named().items():
+                if name != "center":
+                    np.testing.assert_array_equal(noisy.named()[name], grid, err_msg=name)
+            # Each object's peak window is the encoder's, scaled by one height.
+            clean_center = np.asarray(clean.center)
+            heights = []
+            for item, (row, col, radius) in zip(scene.items, center_cells(scene)):
+                extent = int(radius)
+                window = (item.category_id - 1, slice(max(row - extent, 0), row + extent + 1),
+                          slice(max(col - extent, 0), col + extent + 1))
+                assert clean_center[item.category_id - 1, row, col] == 1.0
+                height = float(noisy.center[item.category_id - 1, row, col])
+                np.testing.assert_allclose(noisy.center[window], clean_center[window] * height, rtol=1e-6)
+                heights.append(height)
+            lo, hi = PEAK_HEIGHT_RANGE
+            assert all(np.float32(lo) <= h <= np.float32(hi) for h in heights)
+            assert len(set(heights)) == len(heights) > 1
+            assert not noisy.center[clean_center == 0].any()
 
     def test_full_dropout_erases_peaks_but_not_regression(self, table):
         scene = synth_scenes(SynthParams(seed=22, num_images=1, min_objects=2, max_objects=3), table)[0]

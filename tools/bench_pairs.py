@@ -4,12 +4,13 @@
     python3 tools/bench_pairs.py ../parent . --workload serve_single --pairs 12
 
 Runs `python3 perfbench/run.py --workload W --seed S` in the parent and in
-the change checkout, one after the other, for each of N pairs; odd pairs run
-the change first. For every end-to-end metric that BENCHMARK.json in the
-change checkout lists, it prints each side's median and quartiles over the
-pairs, the relative difference of the medians, and in how many pairs the
-change was better (ties count for neither side). A gain holds when the change
-wins at least nine tenths of the pairs and the medians differ by more than
+the change checkout, one after the other, for each of N pairs; odd pairs,
+pair 1 among them, run the parent first and even pairs the change first.
+For every end-to-end metric that BENCHMARK.json in the change checkout
+lists, it prints each side's median and quartiles over the pairs, the
+relative difference of the medians, and in how many pairs the change was
+better (ties count for neither side). A gain holds when the change wins at
+least nine tenths of the pairs and the medians differ by more than
 the parent's interquartile range; the `gain` column says whether both hold.
 For a metric with a `bound`, the last column says `worse` when the change's
 median is worse than the parent's by more than that fraction of it, and
