@@ -21,7 +21,6 @@ from .categories import (
 from .decode import (
     DecodeConfig,
     KeypointCandidates,
-    Peak,
     decode_scene,
     extract_keypoint_candidates,
     extract_peaks,
@@ -91,7 +90,7 @@ __all__ = [
     "DEFAULT_SIGMA", "NUM_CATEGORIES", "TOTAL_KEYPOINTS", "CategoryConfigError", "CategorySpec",
     "CategoryTable", "default_table", "dump_category_table", "load_category_table",
     # decode
-    "DecodeConfig", "KeypointCandidates", "Peak", "decode_scene",
+    "DecodeConfig", "KeypointCandidates", "decode_scene",
     "extract_keypoint_candidates", "extract_peaks",
     # encode
     "EncodeParams", "encode_scene", "gaussian_radius", "render_gaussian",

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,10 @@ import numpy as np
 from .bench import StrategyReport, compare_strategies
 from .categories import CategoryTable, default_table, load_category_table
 from .charts import line_chart, scatter_chart
-from .decode import DecodeConfig, decode_scene
+from .decode import DecodeConfig
 from .encode import EncodeParams, encode_scene
 from .fileio import read_detections, read_scenes, read_tensors, write_detections, write_scenes, write_tensors
-from .heads import require_valid
+from .heads import TensorValidationError, _regression_issues, require_valid
 from .metrics import (
     VISIBLE_AND_OCCLUDED,
     VISIBLE_ONLY,
@@ -34,10 +33,10 @@ from .metrics import (
     report_to_csv_rows,
     report_to_dict,
 )
-# nms and rescale_detections are not called here. They stay importable from
-# this module because perfbench/workloads.py times the decode command by
-# wrapping these names in it.
-from .postprocess import flip_tensors, fuse_tensors, infer, nms, rescale_detections  # noqa: F401
+# decode_scene, nms and rescale_detections are not called here. They stay
+# importable from this module because perfbench/workloads.py times the
+# decode command by wrapping these names in it.
+from .postprocess import decode_scene, flip_tensors, fuse_tensors, infer, nms, rescale_detections  # noqa: F401
 from .scene import Detection, Scene, _stride_padded, mirror_scene, scale_scene
 from .synth import NoiseParams, SynthParams, synth_scenes
 
@@ -214,8 +213,15 @@ def _cmd_decode(args) -> int:
 def _cmd_fuse(args) -> int:
     table = _load_table(args)
     sets = [read_tensors(path) for path in args.inputs]
-    for tensors in sets:
-        require_valid(tensors, table)
+    for i, (path, tensors) in enumerate(zip(args.inputs, sets)):
+        try:
+            require_valid(tensors, table)
+            # Every regression value is averaged and written, not only those decode reads.
+            issues = _regression_issues(tensors)
+            if issues:
+                raise TensorValidationError(issues)
+        except TensorValidationError as exc:
+            raise ValueError(f"{exc}, in input {i} ({path})") from None
     try:
         unflip = {int(tok) for tok in args.unflip.split(",") if tok} if args.unflip else set()
     except ValueError:
@@ -293,29 +299,6 @@ def _cmd_eval(args) -> int:
             csv.writer(fh).writerows(report_to_csv_rows(report, mode))
     if args.plot:
         _write_pr_outputs(report, Path(args.plot), mode)
-    return 0
-
-
-def _cmd_roundtrip(args) -> int:
-    table = _load_table(args)
-    params = SynthParams(
-        seed=args.seed,
-        num_images=args.images,
-        image_width=args.width,
-        image_height=args.height,
-        occlusion_prob=args.occlusion,
-        min_visible=1 if args.occlusion > 0 else 0,
-    )
-    scenes = synth_scenes(params, table)
-    start = time.perf_counter()
-    detections = {s.image_id: decode_scene(encode_scene(s, table), table) for s in scenes}
-    elapsed = time.perf_counter() - start
-    report = evaluate(detections, scenes, table, EvalConfig())
-    _print_report(report, None)
-    pt_maps = [b.map for b in report.pt.values() if b.map is not None]
-    print(f"mAP_box = {report.box.map:.3f}" if report.box.map is not None else "mAP_box = n/a")
-    print(f"mAP_pt = {min(pt_maps):.3f}" if pt_maps else "mAP_pt = n/a")
-    print(f"encode+decode took {elapsed:.2f}s for {len(scenes)} images")
     return 0
 
 
@@ -426,14 +409,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out-csv")
     p.add_argument("--plot", help="directory for PR curve CSV and SVG")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("roundtrip", help="synth, encode, decode, evaluate in one go")
-    common(p)
-    p.add_argument("--images", type=int, default=SynthParams.num_images)
-    p.add_argument("--width", type=int, default=SynthParams.image_width)
-    p.add_argument("--height", type=int, default=SynthParams.image_height)
-    p.add_argument("--occlusion", type=float, default=SynthParams.occlusion_prob)
-    p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("strategies", help="compare post-processing strategies on noisy views")
     common(p)

@@ -62,15 +62,9 @@ class DecodeConfig:
             raise ValueError(f"top_k must be an integer >= 1, got {self.top_k!r}")
         if not 0 <= self.min_center_score <= 1 or not 0 <= self.min_kp_candidate_score <= 1:
             raise ValueError("score thresholds must lie in [0, 1]")
-        if not self.snap_box_margin >= 1.0:
-            raise ValueError(f"snap_box_margin must be >= 1.0, got {self.snap_box_margin}")
-
-
-@dataclass(frozen=True)
-class Peak:
-    channel: int
-    cell: tuple[int, int]
-    score: float
+        # inf is refused too: snapping scales box half-sizes by the margin, and 0 * inf is NaN.
+        if not 1.0 <= self.snap_box_margin < np.inf:
+            raise ValueError(f"snap_box_margin must be a finite number >= 1.0, got {self.snap_box_margin}")
 
 
 def _peak_arrays(
@@ -197,11 +191,14 @@ def _check_candidates(flat: np.ndarray, value_at, shape: tuple[int, int, int]):
     return chan[keep], row[keep], col[keep], value[keep]
 
 
-def extract_peaks(heatmap_stack: np.ndarray, k: int | None, min_score: float) -> list[Peak]:
-    """Top-k peaks across all channels of a heatmap stack.
+def extract_peaks(
+    heatmap_stack: np.ndarray, k: int | None, min_score: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k peaks across all channels of a heatmap stack, as (channel, row, col, score) arrays.
 
     Sorted by score descending, ties by (channel, row, col) ascending.
-    Pass k=None for no limit.
+    Channel, row and col are int64; scores keep the stack's dtype. Pass
+    k=None for no limit.
     """
     if not isinstance(heatmap_stack, _SparseGrid):
         heatmap_stack = np.asarray(heatmap_stack)
@@ -213,10 +210,7 @@ def extract_peaks(heatmap_stack: np.ndarray, k: int | None, min_score: float) ->
         order = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
     # Stable, so equal scores keep the (channel, row, col) order of the peaks.
     order = order[np.argsort(key[order], kind="stable")][:k]
-    return [
-        Peak(channel=int(chan[i]), cell=(int(row[i]), int(col[i])), score=float(score[i]))
-        for i in order
-    ]
+    return chan[order], row[order], col[order], score[order]
 
 
 @dataclass(frozen=True)
@@ -336,12 +330,6 @@ def _snap(
     return out
 
 
-def _peak_cells(peaks: list[Peak]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(channel, row, col) int64 arrays of the peaks."""
-    cells = np.array([(peak.channel, *peak.cell) for peak in peaks], dtype=np.int64).reshape(-1, 3)
-    return cells[:, 0], cells[:, 1], cells[:, 2]
-
-
 def _boxes(tensors: HeadTensorSet, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Box regression at the peak cells: (n, 4) pixel boxes, computed in cells then scaled."""
     channel = np.arange(2)[:, None]
@@ -374,23 +362,23 @@ def decode_scene(
             value read at a peak or candidate cell is not finite.
     """
     folds = require_valid(tensors, table)
-    peaks = extract_peaks(tensors.center, config.top_k, config.min_center_score)
-    chan, rows, cols = _peak_cells(peaks)
+    chan, rows, cols, scores = extract_peaks(tensors.center, config.top_k, config.min_center_score)
     boxes = _boxes(tensors, rows, cols)
     cands = extract_keypoint_candidates(tensors, config, fold=folds["kp_heatmap"])
-    if not peaks:
+    if not chan.size:
         return []
     stride = tensors.stride
     coarse, owner, keypoint = _coarse_keypoints(tensors, table, chan, rows, cols)
     landmarks = _snap(coarse, owner, keypoint, cands, boxes / stride, config.snap_box_margin)
     landmarks[:, :2] *= stride
-    bounds = np.searchsorted(owner, np.arange(len(peaks) + 1))
+    bounds = np.searchsorted(owner, np.arange(chan.size + 1))
+    # tolist gives Python ints and floats, the types the detections writer takes.
     return [
         Detection(
-            category_id=peak.channel + 1,
-            score=peak.score,
+            category_id=channel + 1,
+            score=score,
             box=boxes[i],
             landmarks=landmarks[bounds[i] : bounds[i + 1]],
         )
-        for i, peak in enumerate(peaks)
+        for i, (channel, score) in enumerate(zip(chan.tolist(), scores.tolist()))
     ]

@@ -9,18 +9,19 @@ Layout per tensor, channel-outermost [C][H][W]:
     kp_heatmap       [294] per-keypoint heatmaps, values in [0, 1]
     kp_refine_offset [2]   fractional landmark position (dx, dy) in [0, 1)
 
-A tensor is a dense array or a lazy grid (`_LazyGrid`), which indexes like
-an array, reports its `shape`, `dtype` and `nbytes`, and materialises on
-`np.asarray` or `reshape`. A `_SparseGrid` is the lazy grid of a tensor
-held as its listed cells: (shape, strictly ascending flat indices, float32
-values), +0.0 elsewhere. encode_scene returns one for every tensor,
-read_tensors one for every sparse block, and flip_tensors and fuse_tensors
-keep heatmaps in that form. Validation, peak search, flip, fuse and
-write_tensors read such a heatmap's listed cells alone, so a sparse tensor
-is never scattered unless a caller asks for the whole array. The
-regression tensors of flipped and fused sets are lazy grids computed at
-the cells read. Grids are read-only: a caller that edits a tensor takes
-`np.array(tensor)` and puts it in a new set with `dataclasses.replace`.
+A tensor is a dense array or a lazy grid (`_LazyGrid`), which reads the
+cells given to its `gather`, reports its `shape`, `dtype` and `nbytes`,
+and materialises on `np.asarray` or `reshape`. A `_SparseGrid` is the lazy
+grid of a tensor held as its listed cells: (shape, strictly ascending flat
+indices, float32 values), +0.0 elsewhere. encode_scene returns one for
+every tensor, read_tensors one for every sparse block, and flip_tensors
+and fuse_tensors keep heatmaps in that form. Validation, peak search,
+flip, fuse and write_tensors read such a heatmap's listed cells alone, so
+a sparse tensor is never scattered unless a caller asks for the whole
+array. The regression tensors of flipped and fused sets are lazy grids
+computed at the cells read. Grids are read-only: a caller that edits a
+tensor takes `np.array(tensor)` and puts it in a new set with
+`dataclasses.replace`.
 
 `require_valid` is the one validation entry point. decode_scene calls it
 on every set it decodes, infer on both views of a mirrored pair before
@@ -30,6 +31,8 @@ heatmaps, and raises `TensorValidationError` with every issue found. It
 bounds a dense float32 heatmap through `_bit_fold`, the column maxima of
 its bits folded up to 48 ways, and returns the folds so that decode finds
 the landmark peak candidates without a second pass over the heatmap.
+`clothdet fuse`, which writes every value it averages, also checks the
+four regression tensors for non-finite values (`_regression_issues`).
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class _LazyGrid:
 
     `gather(c, r, x)` takes integer index arrays that broadcast together and
     returns the values at those (channel, row, col) cells as a new array.
-    Indexing follows numpy's rules for a dense grid of this shape.
     `whole()` returns the whole grid as a new array, with the same values
     that gathering every cell would give; `np.asarray` and `reshape` call
     it.
@@ -75,18 +77,6 @@ class _LazyGrid:
     @property
     def nbytes(self) -> int:
         return self.dtype.itemsize * self.shape[0] * self.shape[1] * self.shape[2]
-
-    def __getitem__(self, key):
-        cells = []
-        for axis, size in enumerate(self.shape):
-            # A zero-copy view holding each cell's index along this axis.
-            coords = np.broadcast_to(np.arange(size).reshape([-1 if a == axis else 1 for a in range(3)]), self.shape)
-            picked = np.asarray(coords[key])
-            # A basic index keeps the zero strides of the broadcast views; those
-            # axes stay at length 1, so an index array is only as large as the
-            # read needs along its own axis.
-            cells.append(picked[tuple(slice(None, 1) if step == 0 else slice(None) for step in picked.strides)])
-        return np.asarray(self.gather(*cells))[()]
 
     def __array__(self, dtype=None, copy=None):
         grid = self.whole()
@@ -253,15 +243,45 @@ def _heatmap_issue(name: str, grid, fold: np.ndarray | None) -> str | None:
     if not values.size or fold is not None and fold.max() <= _ONE_BITS:
         return None
     lo, hi = values.min(), values.max()
-    finite = np.isfinite(lo) and np.isfinite(hi)
-    if finite and lo >= 0 and hi <= 1:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return _finite_issue(name, grid)
+    if lo >= 0 and hi <= 1:
         return None
     values = values.reshape(-1)
-    i = int(np.argmax((values < 0) | (values > 1) if finite else ~np.isfinite(values)))
-    c, r, col = (int(v) for v in np.unravel_index(int(grid.indices[i]) if sparse else i, grid.shape))
-    if finite:
-        return f"{name}: value {values[i]:g} outside [0, 1] at channel {c}, cell ({r}, {col})"
+    i = int(np.argmax((values < 0) | (values > 1)))
+    c, r, col = _cell(grid, i)
+    return f"{name}: value {values[i]:g} outside [0, 1] at channel {c}, cell ({r}, {col})"
+
+
+def _cell(grid, i: int) -> tuple[int, int, int]:
+    """(channel, row, col) of a dense grid's i-th value in C order, or of a `_SparseGrid`'s i-th listed value."""
+    flat = int(grid.indices[i]) if isinstance(grid, _SparseGrid) else i
+    return tuple(int(v) for v in np.unravel_index(flat, grid.shape))
+
+
+def _finite_issue(name: str, grid) -> str | None:
+    """The located issue with the first non-finite value of a dense array or `_SparseGrid`, or None.
+
+    A `_SparseGrid` is checked through its listed values, read in place,
+    since every other value is +0.0; a dense array is read in place too.
+    """
+    values = (grid.values if isinstance(grid, _SparseGrid) else grid).reshape(-1)
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    c, r, col = _cell(grid, int(np.argmin(finite)))
     return f"{name}: non-finite value at channel {c}, cell ({r}, {col})"
+
+
+def _regression_issues(tensors: HeadTensorSet) -> list[str]:
+    """The located non-finite value, if any, of each regression tensor: dense arrays or `_SparseGrid`s.
+
+    require_valid checks only the heatmaps' values, and decode reads the
+    regression tensors only at the cells it picks. `clothdet fuse` averages
+    and writes every value, so it checks these too.
+    """
+    issues = (_finite_issue(name, getattr(tensors, name)) for name in TENSOR_NAMES if name not in HEATMAP_NAMES)
+    return [issue for issue in issues if issue is not None]
 
 
 def require_valid(tensors: HeadTensorSet, table: CategoryTable) -> dict[str, np.ndarray | None]:

@@ -138,7 +138,7 @@ def flip_tensors(tensors: HeadTensorSet, table: CategoryTable) -> HeadTensorSet:
     The heatmaps (center, kp_heatmap) are flipped here: a dense heatmap
     into a new array, a `_SparseGrid` into a new one by moving its listed
     cells. The four regression tensors come back lazy: each value is read
-    from the input and transformed only at the cells that are indexed, and
+    from the input and transformed only at the cells gathered, and
     `np.asarray` gives the whole flipped tensor.
     """
     kp_perm = table.flip_perm
@@ -217,7 +217,7 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
     average is one over the union of their listed cells, with the same
     values; otherwise the inputs are made dense and averaged into a new
     array. The four regression tensors come back lazy: each value is
-    averaged from the inputs only at the cells that are indexed, and
+    averaged from the inputs only at the cells gathered, and
     `np.asarray` gives the whole fused tensor. Inputs may themselves be
     lazy.
     """

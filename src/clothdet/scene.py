@@ -109,18 +109,6 @@ def clamp_scene(scene: Scene) -> tuple[Scene, int]:
     return replace(scene, items=tuple(clamped)), moved
 
 
-def translate_scene(scene: Scene, dx: float, dy: float) -> Scene:
-    """Shift all coordinates by (dx, dy) pixels; image size is unchanged."""
-    items = []
-    for item in scene.items:
-        box = item.box + [dx, dy, dx, dy]
-        lm = item.landmarks.copy()
-        lm[:, 0] += dx
-        lm[:, 1] += dy
-        items.append(GroundTruthItem(item.category_id, box, lm))
-    return replace(scene, items=tuple(items))
-
-
 def scale_scene(scene: Scene, scale: float) -> Scene:
     """Scale all coordinates and the image size by a positive factor."""
     if scale <= 0:

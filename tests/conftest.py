@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ def make_item(table, category_id, box, landmark_pixels=None, visibility=2):
 
 def make_scene(table, items, image_id="img-0", width=128, height=128):
     return Scene(image_id=image_id, width=width, height=height, items=tuple(items))
+
+
+def scattered(tensors):
+    """The tensor set with every grid as an array, lazy ones through np.asarray, for tests that index cells."""
+    return replace(tensors, **{name: np.asarray(grid) for name, grid in tensors.named().items()})
+
+
+def translate_scene(scene, dx, dy):
+    """The scene with every box and landmark shifted by (dx, dy) pixels; image size is unchanged."""
+    items = []
+    for item in scene.items:
+        landmarks = item.landmarks.copy()
+        landmarks[:, :2] += [dx, dy]
+        items.append(GroundTruthItem(item.category_id, item.box + [dx, dy, dx, dy], landmarks))
+    return replace(scene, items=tuple(items))
 
 
 def validation_issues(tensors, table):

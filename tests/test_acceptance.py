@@ -31,9 +31,10 @@ from clothdet import (
     synth_scenes,
 )
 from clothdet.cli import main
-from clothdet.scene import mirror_scene, translate_scene
+from clothdet.scene import mirror_scene
 
 from bruteforce_eval import evaluate_bruteforce, perturbed_case, report_diffs
+from conftest import translate_scene
 from test_postprocess import same_detections
 
 

@@ -11,7 +11,6 @@ import clothdet.heads
 from clothdet import (
     DecodeConfig,
     HeadTensorSet,
-    Peak,
     SynthParams,
     TensorValidationError,
     decode_scene,
@@ -24,7 +23,7 @@ from clothdet import (
 )
 from clothdet.categories import TOTAL_KEYPOINTS
 from clothdet.heads import _SparseGrid
-from clothdet.scene import translate_scene
+from conftest import translate_scene
 
 
 def float64_tensors(height=32, width=32, stride=4):
@@ -50,24 +49,30 @@ def test_config_validation():
     assert DecodeConfig(top_k=np.int64(3)).top_k == 3
     with pytest.raises(ValueError):
         DecodeConfig(min_center_score=1.5)
-    for margin in (0.5, float("nan")):
-        with pytest.raises(ValueError, match="snap_box_margin must be >= 1.0"):
+    for margin in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="snap_box_margin must be a finite number >= 1.0"):
             DecodeConfig(snap_box_margin=margin)
+
+
+def peak_list(peaks):
+    """extract_peaks' (channel, row, col, score) arrays as (channel, (row, col), score) tuples, in order."""
+    chan, row, col, score = peaks
+    return list(zip(chan.tolist(), zip(row.tolist(), col.tolist()), score.tolist()))
 
 
 def test_single_peak():
     stack = np.zeros((1, 8, 8), dtype=np.float32)
     stack[0, 3, 5] = 0.9
     peaks = extract_peaks(stack, k=None, min_score=0.1)
-    assert len(peaks) == 1
-    assert peaks[0].channel == 0
-    assert peaks[0].cell == (3, 5)
-    assert peaks[0].score == pytest.approx(0.9)
+    assert peak_list(peaks) == [(0, (3, 5), pytest.approx(0.9))]
+    assert [a.dtype for a in peaks] == [np.int64, np.int64, np.int64, np.float32]
 
 
 def test_zero_grid_with_threshold_is_empty():
-    peaks = extract_peaks(np.zeros((2, 8, 8), dtype=np.float32), k=None, min_score=0.1)
-    assert peaks == []
+    for dtype in (np.float32, np.float64):
+        peaks = extract_peaks(np.zeros((2, 8, 8), dtype=dtype), k=None, min_score=0.1)
+        assert [a.shape for a in peaks] == [(0,)] * 4
+        assert [a.dtype for a in peaks] == [np.int64, np.int64, np.int64, dtype]
 
 
 @pytest.mark.parametrize("cells", [
@@ -82,8 +87,7 @@ def test_plateau_yields_single_row_major_first_peak(cells):
     for r, c in cells:
         stack[0, r, c] = 0.5
     peaks = extract_peaks(stack, k=None, min_score=0.1)
-    assert len(peaks) == 1
-    assert peaks[0].cell == min(cells)
+    assert [cell for _, cell, _ in peak_list(peaks)] == [min(cells)]
 
 
 def test_peak_ordering_and_top_k():
@@ -92,17 +96,17 @@ def test_peak_ordering_and_top_k():
     stack[0, 5, 5] = 0.7
     stack[1, 2, 2] = 0.7
     peaks = extract_peaks(stack, k=None, min_score=0.0)
-    ranked = [(p.channel, p.cell) for p in peaks if p.score > 0]
+    ranked = [(channel, cell) for channel, cell, score in peak_list(peaks) if score > 0]
     # Score descending; the 0.7 tie resolves by channel.
     assert ranked[:3] == [(2, (1, 1)), (0, (5, 5)), (1, (2, 2))]
     top = extract_peaks(stack, k=2, min_score=0.1)
-    assert [(p.channel, p.score) for p in top] == [(2, pytest.approx(0.9)), (0, pytest.approx(0.7))]
+    assert [(channel, score) for channel, _, score in peak_list(top)] == [(2, pytest.approx(0.9)), (0, pytest.approx(0.7))]
 
 
 def test_min_score_boundary_is_inclusive():
     stack = np.zeros((1, 4, 4), dtype=np.float32)
     stack[0, 1, 1] = 0.1
-    assert len(extract_peaks(stack, k=None, min_score=0.1)) == 1
+    assert extract_peaks(stack, k=None, min_score=0.1)[0].size == 1
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
@@ -112,8 +116,8 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
     sparse = extract_peaks(stack, k=None, min_score=0.3)
     monkeypatch.setattr(clothdet.decode, "_DENSE_FRACTION", 0.0)
     dense = extract_peaks(stack, k=None, min_score=0.3)
-    assert sparse == dense
-    assert len(sparse) > 0
+    assert_same_peak_arrays(sparse, dense)
+    assert sparse[0].size > 0
 
 
 def test_decode_box_example(table):
@@ -377,14 +381,14 @@ def test_decode_scene_landmarks_from_candidates_or_coarse(table):
     tensors = encode_scene(scenes[0], table)
     config = DecodeConfig(min_center_score=0.5)
     cands = extract_keypoint_candidates(tensors, config)
-    peaks = extract_peaks(tensors.center, k=config.top_k, min_score=config.min_center_score)
+    chan, row, col, _ = extract_peaks(tensors.center, k=config.top_k, min_score=config.min_center_score)
     dets = decode_scene(tensors, table, config)
     stride = tensors.stride
-    assert len(peaks) == len(dets)
-    for peak, det in zip(peaks, dets):
-        assert det.category_id == peak.channel + 1
+    assert chan.size == len(dets)
+    for channel, cell, det in zip(chan, zip(row, col), dets):
+        assert det.category_id == channel + 1
         spec = table.spec(det.category_id)
-        coarse = coarse_keypoints(tensors, table, peak.cell, det.category_id)
+        coarse = coarse_keypoints(tensors, table, cell, det.category_id)
         for local, (x, y, conf) in enumerate(det.landmarks):
             if conf == 0.0:
                 np.testing.assert_array_equal([x / stride, y / stride], coarse[local])
@@ -432,7 +436,14 @@ def reference_peak_arrays(stack, min_score):
 def reference_extract_peaks(stack, k, min_score):
     chan, row, col, score = reference_peak_arrays(stack, min_score)
     order = np.lexsort((col, row, chan, -score.astype(np.float64)))[:k]
-    return [Peak(channel=int(chan[i]), cell=(int(row[i]), int(col[i])), score=float(score[i])) for i in order]
+    return chan[order], row[order], col[order], score[order]
+
+
+def assert_extract_peaks_matches_reference(stack, k, min_score):
+    """extract_peaks gives the reference's arrays bit for bit: int64 cells and scores in the stack's dtype."""
+    got = extract_peaks(stack, k, min_score)
+    assert [a.dtype for a in got] == [np.int64, np.int64, np.int64, stack.dtype]
+    assert_same_peak_arrays(got, reference_extract_peaks(stack, k, min_score))
 
 
 def float32_ulps(value):
@@ -502,8 +513,8 @@ def test_peaks_match_full_grid_reference(stack, min_score, k, fold_rows):
         with mock.patch.object(clothdet.decode, "_DENSE_FRACTION", fraction):
             for given_fold in (None, fold):
                 assert_same_peak_arrays(clothdet.decode._peak_arrays(stack, min_score, given_fold), want)
-            assert extract_peaks(stack, None, min_score) == reference_extract_peaks(stack, None, min_score)
-            assert extract_peaks(stack, k, min_score) == reference_extract_peaks(stack, k, min_score)
+            assert_extract_peaks_matches_reference(stack, None, min_score)
+            assert_extract_peaks_matches_reference(stack, k, min_score)
 
 
 @pytest.mark.parametrize("min_score", [0.1, 0.7, np.float64(0.7), 1e-45], ids=repr)
@@ -563,15 +574,14 @@ def test_top_k_matches_full_sort_with_ties(seed, shape, k):
     rng = np.random.default_rng(seed)
     stack = rng.choice(np.array([0.0, 0.2, 0.5, 0.9], dtype=np.float32), shape, p=[0.4, 0.3, 0.2, 0.1])
     for min_score in (0.0, 0.1):
-        assert extract_peaks(stack, k, min_score) == reference_extract_peaks(stack, k, min_score)
+        assert_extract_peaks_matches_reference(stack, k, min_score)
 
 
 def test_zero_channel_peaks_only_at_origin():
     stack = np.zeros((3, 4, 5), dtype=np.float32)
     stack[1, 0, 1] = 0.5  # a nonzero successor of (0, 0)
     stack[2, 2, 3] = 0.5
-    peaks = [(p.channel, p.cell, p.score) for p in extract_peaks(stack, None, 0.0)]
-    assert sorted(peaks) == [(0, (0, 0), 0.0), (1, (0, 1), 0.5), (2, (0, 0), 0.0), (2, (2, 3), 0.5)]
+    assert sorted(peak_list(extract_peaks(stack, None, 0.0))) == [(0, (0, 0), 0.0), (1, (0, 1), 0.5), (2, (0, 0), 0.0), (2, (2, 3), 0.5)]
 
 
 @pytest.mark.parametrize("fraction", [1.1, 0.0], ids=["sparse", "dense"])
@@ -579,7 +589,7 @@ def test_minus_inf_is_never_a_peak(monkeypatch, fraction):
     monkeypatch.setattr(clothdet.decode, "_DENSE_FRACTION", fraction)
     stack = np.full((2, 1, 1), -np.inf)
     stack[1, 0, 0] = 0.5
-    assert [p.channel for p in extract_peaks(stack, None, -np.inf)] == [1]
+    assert extract_peaks(stack, None, -np.inf)[0].tolist() == [1]
 
 
 def reference_snap(coarse, local, cand_x, cand_y, cand_conf, box_cells, margin):
@@ -619,11 +629,12 @@ def test_batched_snapping_matches_per_detection_reference(table, seed, size, mar
     config = DecodeConfig(snap_box_margin=margin)
     cands = extract_keypoint_candidates(tensors, config)
     dets = decode_scene(tensors, table, config)
-    for det, peak in zip(dets, extract_peaks(tensors.center, config.top_k, config.min_center_score)):
+    _, row, col, _ = extract_peaks(tensors.center, config.top_k, config.min_center_score)
+    for det, cell in zip(dets, zip(row, col)):
         spec = table.spec(det.category_id)
         lo, hi = cands.starts[spec.global_offset], cands.starts[spec.global_offset + spec.keypoint_count]
         want = reference_snap(
-            coarse_keypoints(tensors, table, peak.cell, det.category_id),
+            coarse_keypoints(tensors, table, cell, det.category_id),
             cands.channel[lo:hi] - spec.global_offset,
             cands.x[lo:hi],
             cands.y[lo:hi],

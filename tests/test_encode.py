@@ -23,7 +23,7 @@ from clothdet import (
     write_tensors,
 )
 from clothdet.heads import _SparseGrid
-from conftest import make_item, make_scene
+from conftest import make_item, make_scene, scattered
 
 
 def _bisect_radius(iou_of_r, overlap, hi):
@@ -184,7 +184,7 @@ def test_encode_empty_scene_is_all_zero(table):
 def test_encode_single_item_example(table):
     # Box [32,28,48,52] at stride 4: center (40,40) px = cell (10,10) exactly.
     item = make_item(table, 1, [32, 28, 48, 52])
-    tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
+    tensors = scattered(encode_scene(make_scene(table, [item], width=128, height=128), table))
     assert tensors.center[0, 10, 10] == 1.0
     assert tensors.wh[0, 10, 10] == 4.0
     assert tensors.wh[1, 10, 10] == 6.0
@@ -199,7 +199,7 @@ def test_encode_landmark_example(table):
     # center cell (10,10) is one cell in each axis.
     pixels = np.full((25, 2), 44.0)
     item = make_item(table, 1, [32, 28, 48, 52], landmark_pixels=pixels)
-    tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
+    tensors = scattered(encode_scene(make_scene(table, [item], width=128, height=128), table))
     assert tensors.kp_heatmap[0, 11, 11] == 1.0
     assert tensors.kp_offset[0, 10, 10] == 1.0
     assert tensors.kp_offset[1, 10, 10] == 1.0
@@ -209,7 +209,7 @@ def test_encode_landmark_example(table):
 
 def test_encode_fractional_positions(table):
     item = make_item(table, 3, [33, 28, 48, 52], landmark_pixels=np.full((31, 2), 45.0))
-    tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
+    tensors = scattered(encode_scene(make_scene(table, [item], width=128, height=128), table))
     # Center x = 40.5 px = cell 10.125: offset 0.125 at column 10.
     assert tensors.center_offset[0, 10, 10] == np.float32(0.125)
     g = table.spec(3).global_offset
@@ -220,7 +220,7 @@ def test_encode_fractional_positions(table):
 
 def test_encode_unlabeled_landmarks_contribute_nothing(table):
     item = make_item(table, 1, [32, 28, 48, 52], visibility=0)
-    tensors = encode_scene(make_scene(table, [item], width=128, height=128), table)
+    tensors = scattered(encode_scene(make_scene(table, [item], width=128, height=128), table))
     assert not np.asarray(tensors.kp_heatmap).any()
     assert not np.asarray(tensors.kp_offset).any()
     assert not np.asarray(tensors.kp_refine_offset).any()
@@ -254,7 +254,7 @@ def test_encode_center_collision_keeps_larger_area(table, caplog):
     large = make_item(table, 2, [20, 20, 60, 60])
     scene = make_scene(table, [small, large], width=128, height=128)
     with caplog.at_level(logging.WARNING):
-        tensors = encode_scene(scene, table)
+        tensors = scattered(encode_scene(scene, table))
     assert tensors.wh[0, 10, 10] == 10.0
     assert any("claimed twice" in rec.message for rec in caplog.records)
     # Both heatmap peaks still exist on their own channels.
@@ -400,7 +400,7 @@ def test_encode_matches_dense_reference_on_synth_views(table, workdir, seed, wid
 def test_encode_equal_area_collision_keeps_first(table):
     first = make_item(table, 1, [32, 32, 48, 48])
     second = make_item(table, 2, [36, 24, 44, 56])  # same center cell, same area
-    tensors = encode_scene(make_scene(table, [first, second]), table)
+    tensors = scattered(encode_scene(make_scene(table, [first, second]), table))
     assert tensors.wh[0, 10, 10] == 4.0 and tensors.wh[1, 10, 10] == 4.0
 
 
@@ -409,7 +409,7 @@ def test_encode_refine_conflict_keeps_first_and_warns(table, caplog):
     pixels = np.array([[44.5, 45.0], [46.0, 47.0]] + [[20.0, 20.0]] * 23)
     item = make_item(table, 1, [32, 28, 48, 52], landmark_pixels=pixels)
     with caplog.at_level(logging.WARNING):
-        tensors = encode_scene(make_scene(table, [item]), table)
+        tensors = scattered(encode_scene(make_scene(table, [item]), table))
     assert tensors.kp_refine_offset[:, 11, 11].tolist() == [0.125, 0.25]
     assert any("1 landmark cells hold offsets of an earlier peak" in rec.message for rec in caplog.records)
 
@@ -426,6 +426,6 @@ def test_write_after_copy_writes_the_array(table, tmp_path):
     write_tensors(want, reference)
     assert path.read_bytes() == want.read_bytes()
     loaded = read_tensors(path)
-    assert loaded.wh[0, 1, 2] == 7.5
+    assert np.asarray(loaded.wh)[0, 1, 2] == 7.5
     for name, grid in reference.named().items():
         np.testing.assert_array_equal(np.asarray(loaded.named()[name]).view(np.uint32), grid.view(np.uint32))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import warnings
 from dataclasses import replace
 
@@ -32,6 +34,7 @@ from clothdet.decode import extract_peaks
 from clothdet.scene import _stride_padded, mirror_scene, scale_scene
 
 import unbatched_reference
+from conftest import scattered
 
 
 def det(category=1, score=0.5, box=(0, 0, 10, 10), landmarks=()):
@@ -189,7 +192,7 @@ class TestFlip:
         tensors.kp_heatmap[0, 2, 1] = 0.875
         tensors.kp_refine_offset[0, 2, 1] = 0.125
         tensors.kp_refine_offset[1, 2, 1] = 0.375
-        flipped = flip_tensors(tensors, table)
+        flipped = scattered(flip_tensors(tensors, table))
         col = 8 - 1 - 1
         assert flipped.center[3, 2, col] == np.float32(0.75)
         assert flipped.wh[0, 2, col] == np.float32(5.0)
@@ -207,7 +210,7 @@ class TestFlip:
         tensors.kp_heatmap[g0, 1, 1] = 0.5
         tensors.kp_offset[2 * g0, 1, 1] = 3.0
         tensors.kp_offset[2 * g0 + 1, 1, 1] = 4.0
-        flipped = flip_tensors(tensors, paired_table)
+        flipped = scattered(flip_tensors(tensors, paired_table))
         assert flipped.kp_heatmap[g1, 1, 6] == np.float32(0.5)
         assert flipped.kp_heatmap[g0, 1, 6] == 0.0
         assert flipped.kp_offset[2 * g1, 1, 6] == np.float32(-3.0)
@@ -515,20 +518,6 @@ class TestLazyFusionIdentity:
             np.testing.assert_array_equal(bits(fused.named()[name]), bits(want.named()[name]), err_msg=name)
         assert same_detections(decode_scene(fused, table), decode_scene(want, table))
 
-        # A NaN at the top peak's cell, in an input that carries weight.
-        peak = extract_peaks(want.center, 1, 0.0)[0]
-        row, col = peak.cell
-        name, channel = planted
-        if name == "kp_offset":
-            channel = 2 * table.spec(peak.channel + 1).global_offset
-        if weights is None or weights[0] > 0:
-            getattr(a, name)[channel, row, col] = np.nan
-        else:
-            getattr(b, name)[channel, row, width - 1 - col] = np.nan
-        message = decode_outcome(eager_fuse([a, eager_flip(b, table)], weights), table)
-        assert isinstance(message, str) and message.startswith(f"{name}: non-finite value")
-        assert decode_outcome(fuse_tensors([a, flip_tensors(b, table)], weights), table) == message
-
         # clothdet fuse --unflip 1 writes the reference's bytes.
         work = tmp_path_factory.mktemp("fuse")
         (work / "table.json").write_text(dump_category_table(table), "utf-8")
@@ -541,3 +530,31 @@ class TestLazyFusionIdentity:
             argv += ["--weights", ",".join(map(str, weights))]
         assert main(argv) == 0
         assert (work / "got.dmrk").read_bytes() == (work / "want.dmrk").read_bytes()
+        (work / "got.dmrk").unlink()
+
+        # A NaN at the top peak's cell, in an input that carries weight.
+        (category,), (row,), (col,), _ = (v.tolist() for v in extract_peaks(want.center, 1, 0.0))
+        name, channel = planted
+        if name == "kp_offset":
+            channel = 2 * table.spec(category + 1).global_offset
+        if weights is None or weights[0] > 0:
+            index, cell = 0, (row, col)
+            getattr(a, name)[channel, row, col] = np.nan
+        else:
+            index, cell = 1, (row, width - 1 - col)
+            getattr(b, name)[channel, row, width - 1 - col] = np.nan
+        message = decode_outcome(eager_fuse([a, eager_flip(b, table)], weights), table)
+        assert isinstance(message, str) and message.startswith(f"{name}: non-finite value")
+        assert decode_outcome(fuse_tensors([a, flip_tensors(b, table)], weights), table) == message
+
+        # clothdet fuse rejects it at its cell in the input, before unflipping, and writes nothing.
+        write_tensors(work / "a.dmrk", a)
+        write_tensors(work / "b.dmrk", b)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        path = work / ("a.dmrk", "b.dmrk")[index]
+        assert err.getvalue() == (
+            f"error: {name}: non-finite value at channel {channel}, cell {cell}, in input {index} ({path})\n"
+        )
+        assert not (work / "got.dmrk").exists()

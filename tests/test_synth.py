@@ -227,12 +227,12 @@ class TestNoisyViews:
     def test_duplicates_copy_regression(self, table):
         scene = synth_scenes(SynthParams(seed=24, num_images=1, min_objects=2, max_objects=2), table)[0]
         noise = NoiseParams(seed=3, dropout_prob=0.0, duplicate_prob=1.0)
-        noisy = noisy_view_tensors(scene, table, noise)
-        clean = encode_scene(scene, table)
+        noisy = np.asarray(noisy_view_tensors(scene, table, noise).wh)
+        clean = np.asarray(encode_scene(scene, table).wh)
         jitter = DUPLICATE_JITTER_CELLS
         for row, col, _ in center_cells(scene):
-            near = noisy.wh[:, max(row - jitter, 0):row + jitter + 1, max(col - jitter, 0):col + jitter + 1]
-            target = clean.wh[:, row, col].reshape(2, 1, 1)
+            near = noisy[:, max(row - jitter, 0):row + jitter + 1, max(col - jitter, 0):col + jitter + 1]
+            target = clean[:, row, col].reshape(2, 1, 1)
             assert (np.abs(near - target) < 1e-6).all(axis=0).sum() >= 2
 
     def test_noise_param_validation(self):
