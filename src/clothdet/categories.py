@@ -48,6 +48,26 @@ class CategoryTable:
     flip_pairs: tuple[tuple[int, int], ...]
     sigmas: np.ndarray
 
+    def __post_init__(self):
+        """Store the sigmas as a read-only float64 array, after the one check they get.
+
+        They must be TOTAL_KEYPOINTS numbers, finite and >= 0, of the types
+        json.loads gives: int or float, not bool. An array is checked as its
+        tolist(), so a table's own sigmas pass again through
+        dataclasses.replace.
+        """
+        raw = self.sigmas.tolist() if isinstance(self.sigmas, np.ndarray) else self.sigmas
+        if not isinstance(raw, (list, tuple)) or len(raw) != TOTAL_KEYPOINTS:
+            size = len(raw) if isinstance(raw, (list, tuple)) else type(raw).__name__
+            raise CategoryConfigError(f"sigmas must hold {TOTAL_KEYPOINTS} numbers, got {size}")
+        for i, sigma in enumerate(raw):
+            # NaN fails the comparison, and an integer beyond float range the upper bound.
+            if type(sigma) not in (int, float) or not 0 <= sigma <= sys.float_info.max:
+                raise CategoryConfigError(f"sigmas[{i}] = {sigma!r} is not a finite number >= 0")
+        sigmas = np.array(raw, dtype=np.float64)
+        sigmas.setflags(write=False)
+        object.__setattr__(self, "sigmas", sigmas)
+
     @cached_property
     def flip_perm(self) -> np.ndarray:
         """Read-only (294,) map of each global keypoint index to its flip partner.
@@ -159,19 +179,9 @@ def load_category_table(config_text: str) -> CategoryTable:
         used.update((a, b))
         pairs.append((min(a, b), max(a, b)))
 
-    raw_sigmas = doc.get("sigmas")
-    if raw_sigmas is None:
-        sigmas = np.full(TOTAL_KEYPOINTS, DEFAULT_SIGMA, dtype=np.float64)
-    else:
-        if not isinstance(raw_sigmas, list) or len(raw_sigmas) != TOTAL_KEYPOINTS:
-            raise CategoryConfigError(f"sigmas must hold {TOTAL_KEYPOINTS} numbers")
-        for i, sigma in enumerate(raw_sigmas):
-            # NaN fails the comparison, and an integer beyond float range the upper bound.
-            if type(sigma) not in (int, float) or not 0 < sigma <= sys.float_info.max:
-                raise CategoryConfigError(f"sigmas[{i}] = {sigma!r} is not a positive finite number")
-        sigmas = np.array(raw_sigmas, dtype=np.float64)
-    sigmas.setflags(write=False)
-
+    sigmas = doc.get("sigmas")
+    if sigmas is None:
+        sigmas = [DEFAULT_SIGMA] * TOTAL_KEYPOINTS
     return CategoryTable(specs=specs, flip_pairs=tuple(pairs), sigmas=sigmas)
 
 

@@ -13,9 +13,8 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .bench import StrategyReport, compare_strategies
 from .categories import CategoryTable, default_table, load_category_table
@@ -239,24 +238,24 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _print_report(report: MetricReport, mode: str | None) -> None:
+def _print_report(report: MetricReport) -> None:
     def fmt(v: float | None) -> str:
         return "n/a" if v is None else f"{v:.3f}"
 
     print(f"images {report.images}  gt_items {report.gt_items}  detections {report.detections}")
     print(f"mAP_box = {fmt(report.box.map)}  (AP50 {fmt(report.box.map_50)}, AP75 {fmt(report.box.map_75)})")
     for name, block in report.pt.items():
-        label = "mAP_pt" if mode else f"mAP_pt[{name}]"
+        label = "mAP_pt" if len(report.pt) == 1 else f"mAP_pt[{name}]"
         print(f"{label} = {fmt(block.map)}  (AP50 {fmt(block.map_50)}, AP75 {fmt(block.map_75)})")
 
 
-def _write_pr_outputs(report: MetricReport, plot_dir: Path, mode: str | None) -> None:
+def _write_pr_outputs(report: MetricReport, plot_dir: Path) -> None:
     plot_dir.mkdir(parents=True, exist_ok=True)
     with open(plot_dir / "pr_curves.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "category_id", "threshold", "recall", "precision"])
         for curve in report.curves:
-            label = "pt" if mode and curve.metric.startswith("pt") else curve.metric
+            label = "pt" if len(report.pt) == 1 and curve.metric.startswith("pt") else curve.metric
             for r, p in zip(curve.recall, curve.precision):
                 writer.writerow([label, curve.category_id, f"{curve.threshold:.2f}", f"{r:.4f}", f"{p:.6f}"])
     half = [c for c in report.curves if abs(c.threshold - 0.5) < 1e-9]
@@ -270,35 +269,27 @@ def _write_pr_outputs(report: MetricReport, plot_dir: Path, mode: str | None) ->
     (plot_dir / "pr_curves.svg").write_text(svg, "utf-8")
 
 
-def _read_sigmas(path) -> np.ndarray:
-    """The --sigmas file's list of numbers as float64; evaluate checks its length and values."""
-    try:
-        raw = json.loads(Path(path).read_text("utf-8"))
-        # json.loads yields exact int and float objects for numbers.
-        if isinstance(raw, list) and set(map(type, raw)) <= {int, float}:
-            return np.array(raw, dtype=np.float64)
-    # ValueError: not JSON; OverflowError: an integer beyond float range.
-    except (ValueError, OverflowError):
-        pass
-    raise ValueError(f"--sigmas {path}: sigmas must be a JSON list of numbers")
-
-
 def _cmd_eval(args) -> int:
     table = _load_table(args)
+    if args.sigmas:
+        # The table checks the file's JSON value. Its CategoryConfigError and
+        # json's errors (and those of bytes that are not UTF-8) are ValueErrors.
+        try:
+            table = replace(table, sigmas=json.loads(Path(args.sigmas).read_text("utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"--sigmas {args.sigmas}: {exc}") from None
     scenes = read_scenes(args.scenes, table)
     detections = read_detections(args.detections)
-    mode = _MODES[args.mode] if args.mode else None
-    sigmas = _read_sigmas(args.sigmas) if args.sigmas else None
-    config = EvalConfig(visibility_mode=mode, max_detections_per_image=args.maxdets, sigmas=sigmas)
+    config = EvalConfig(visibility_mode=_MODES[args.mode] if args.mode else None, max_detections_per_image=args.maxdets)
     report = evaluate(detections, scenes, table, config)
-    _print_report(report, mode)
+    _print_report(report)
     if args.out_json:
-        Path(args.out_json).write_text(json.dumps(report_to_dict(report, mode), indent=2, sort_keys=True), "utf-8")
+        Path(args.out_json).write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True), "utf-8")
     if args.out_csv:
         with open(args.out_csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(report_to_csv_rows(report, mode))
+            csv.writer(fh).writerows(report_to_csv_rows(report))
     if args.plot:
-        _write_pr_outputs(report, Path(args.plot), mode)
+        _write_pr_outputs(report, Path(args.plot))
     return 0
 
 

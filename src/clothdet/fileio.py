@@ -50,7 +50,7 @@ import numpy as np
 
 from .categories import CategoryTable
 from .heads import TENSOR_NAMES, HeadTensorSet, _SparseGrid
-from .scene import Detection, GroundTruthItem, Scene, SceneError, clamp_scene, validate_scene
+from .scene import Detection, GroundTruthItem, Scene, SceneError, _unknown_visibility, clamp_scene, validate_scene
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +114,14 @@ def write_tensors(path, tensors: HeadTensorSet) -> None:
     Zero bytes pad the payload so that every block starts at a file offset
     that is a multiple of BLOCK_ALIGN, which keeps the dense views that
     read_tensors returns aligned.
+
+    Raises:
+        FormatError: before the file is opened, when the six tensors hold
+            more than MAX_VALUES values together, which read_tensors rejects.
     """
+    declared = sum(math.prod(getattr(tensors, name).shape) for name in TENSOR_NAMES)
+    if declared > MAX_VALUES:
+        raise FormatError(f"{path}: tensors hold {declared} values, more than the {MAX_VALUES} a container may declare")
     names = [name.encode("utf-8") for name in TENSOR_NAMES]
     # Magic, version, stride, entry count, the entries and the payload size.
     payload_start = 16 + sum(2 + len(encoded) + 21 for encoded in names) + 8
@@ -395,7 +402,7 @@ def _scenes_at_once(images: list, table: CategoryTable) -> tuple[list[Scene], in
         return None
     counts = np.array(counts, dtype=np.intp)
     keypoints = np.array([0] + [spec.keypoint_count for spec in table.specs], dtype=np.intp)
-    if (counts != keypoints[categories]).any():
+    if (counts != keypoints[categories]).any() or _unknown_visibility(landmarks[:, 2]).any():
         return None
 
     per_image = [n for *_, n in heads]

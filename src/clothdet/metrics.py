@@ -35,10 +35,15 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """How evaluate scores: the similarity thresholds, the landmark visibility
+    mode (None scores both) and the per-image detection cap.
+
+    The OKS sigmas are the category table's, `CategoryTable.sigmas`.
+    """
+
     thresholds: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
     visibility_mode: str | None = None
     max_detections_per_image: int = 100
-    sigmas: np.ndarray | None = None
 
     def __post_init__(self):
         t = self.thresholds
@@ -317,27 +322,6 @@ class _CategoryBatch:
         return self.matrix(similarity, pairs), int(scored.sum())
 
 
-def _checked_sigmas(sigmas, table: CategoryTable) -> np.ndarray:
-    """config.sigmas as float64, or the table's: one finite, non-negative value per table keypoint."""
-    if sigmas is None:
-        return table.sigmas
-    expected = len(table.sigmas)
-    k = np.asarray(sigmas, dtype=np.float64)
-    if k.ndim != 1:
-        raise EvaluationError(f"sigmas must be a flat list of {expected} values, got shape {k.shape}")
-    if len(k) != expected:
-        first = min(len(k), expected)
-        raise EvaluationError(
-            f"sigmas must hold {expected} values, one per keypoint of the table, got {len(k)} "
-            f"(first bad index {first})"
-        )
-    bad = ~(np.isfinite(k) & (k >= 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(f"sigmas[{i}] = {k[i]} is not a finite non-negative number (need {expected} of them)")
-    return k
-
-
 def evaluate(
     detections_by_image: Mapping[str, Sequence[Detection]],
     scenes: Sequence[Scene],
@@ -353,9 +337,7 @@ def evaluate(
     the category's (image, category) buckets.
 
     Raises:
-        EvaluationError: when detections reference an unknown image id, or
-            config.sigmas does not hold one finite, non-negative value per
-            keypoint of the table.
+        EvaluationError: when detections reference an unknown image id.
     """
     scenes = sorted(scenes, key=lambda s: s.image_id)
     known = {s.image_id for s in scenes}
@@ -365,7 +347,6 @@ def evaluate(
         if image_id not in known:
             raise EvaluationError(f"detections reference unknown image id {image_id!r}")
 
-    sigmas = _checked_sigmas(config.sigmas, table)
     categories = [spec.id for spec in table.specs]
     max_det = config.max_detections_per_image
 
@@ -424,7 +405,7 @@ def evaluate(
     for mode in modes:
 
         def pt_sim(cat: int, batch: _CategoryBatch, _mode=mode) -> tuple[np.ndarray, int]:
-            return batch.oks_sim(sigmas[table.global_slice(cat)], _mode)
+            return batch.oks_sim(table.sigmas[table.global_slice(cat)], _mode)
 
         pt_aps, pt_has_gt = run_metric(pt_sim, f"pt_{mode}", curves)
         pt_blocks[mode] = _block_from_aps(pt_aps, pt_has_gt, config.thresholds)
@@ -439,11 +420,12 @@ def evaluate(
     )
 
 
-def report_to_dict(report: MetricReport, mode: str | None = None) -> dict:
+def report_to_dict(report: MetricReport) -> dict:
     """Plain-dict view of a report, for JSON emission.
 
-    With an explicit mode the landmark metrics collapse to unlabeled values,
-    so reports for datasets where the modes agree are byte-identical.
+    A report of one visibility mode (evaluate run with a visibility_mode)
+    holds its landmark metrics unlabeled, so reports for datasets where the
+    modes agree are byte-identical; a report of both labels them by mode.
     """
     def block_dict(block: MetricBlock) -> dict:
         return {
@@ -453,9 +435,9 @@ def report_to_dict(report: MetricReport, mode: str | None = None) -> dict:
             "per_category": {str(c): block.per_category[c] for c in sorted(block.per_category)},
         }
 
-    if mode is not None and mode not in report.pt:
-        raise EvaluationError(f"report does not contain visibility mode {mode!r}")
-    pt = block_dict(report.pt[mode]) if mode is not None else {m: block_dict(b) for m, b in report.pt.items()}
+    pt = {m: block_dict(b) for m, b in report.pt.items()}
+    if len(pt) == 1:
+        (pt,) = pt.values()
     return {
         "box": block_dict(report.box),
         "pt": pt,
@@ -463,8 +445,8 @@ def report_to_dict(report: MetricReport, mode: str | None = None) -> dict:
     }
 
 
-def report_to_csv_rows(report: MetricReport, mode: str | None = None) -> list[list[str]]:
-    """CSV rows: metric name rows for boxes, then landmark rows per mode."""
+def report_to_csv_rows(report: MetricReport) -> list[list[str]]:
+    """CSV rows: metric name rows for boxes, then landmark rows, labeled by mode when the report holds both."""
     def fmt(v: float | None) -> str:
         return "" if v is None else f"{v:.6f}"
 
@@ -475,10 +457,10 @@ def report_to_csv_rows(report: MetricReport, mode: str | None = None) -> list[li
             [f"{name}@0.75", *visibility, fmt(block.map_75)],
         ]
 
-    if mode is not None:
-        return [["metric", "value"], *block_rows("mAP_box", report.box), *block_rows("mAP_pt", report.pt[mode])]
+    if len(report.pt) == 1:
+        (block,) = report.pt.values()
+        return [["metric", "value"], *block_rows("mAP_box", report.box), *block_rows("mAP_pt", block)]
     rows = [["metric", "visibility", "value"], *block_rows("mAP_box", report.box, "")]
-    for m in VISIBILITY_MODES:
-        if m in report.pt:
-            rows += block_rows("mAP_pt", report.pt[m], m)
+    for m, block in report.pt.items():
+        rows += block_rows("mAP_pt", block, m)
     return rows

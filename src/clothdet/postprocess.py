@@ -209,8 +209,9 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
     Weights default to equal, are normalized to sum 1, and must be
     non-negative and finite with a positive sum (zero-weight inputs are
     skipped entirely, so fuse with weights (2, 0) returns the first input
-    exactly). Each value is the float64 weighted sum cast back to the first
-    input's dtype.
+    exactly). Weights whose float sum overflows are divided by the largest
+    first; a finite sum keeps its shares bit for bit. Each value is the
+    float64 weighted sum cast back to the first input's dtype.
 
     The heatmaps (center, kp_heatmap) are averaged here. When every input
     that carries weight holds a heatmap as a float32 `_SparseGrid`, the
@@ -233,6 +234,10 @@ def fuse_tensors(tensor_sets: list[HeadTensorSet], weights: list[float] | None =
     total = sum(weights)
     if total <= 0:
         raise ValueError("weights must not all be zero")
+    if not np.isfinite(total):
+        top = max(weights)
+        weights = [w / top for w in weights]
+        total = sum(weights)
 
     first = tensor_sets[0]
     shapes = {name: grid.shape for name, grid in first.named().items()}

@@ -72,8 +72,14 @@ def box_area(box: np.ndarray) -> float:
     return float(max(0.0, box[2] - box[0]) * max(0.0, box[3] - box[1]))
 
 
+def _unknown_visibility(visibility: np.ndarray) -> np.ndarray:
+    """Which values of a (K,) visibility column are none of 0, 1 and 2."""
+    return (visibility[:, None] != (VIS_UNLABELED, VIS_OCCLUDED, VIS_VISIBLE)).all(axis=1)
+
+
 def validate_scene(scene: Scene, table: CategoryTable) -> None:
-    """Check every item against the table (category known, landmark counts match).
+    """Check every item against the table (category known, landmark counts
+    match), its box corners and its landmark visibilities (0, 1 or 2).
 
     Raises:
         SceneError: naming the offending item.
@@ -89,6 +95,13 @@ def validate_scene(scene: Scene, table: CategoryTable) -> None:
             )
         if item.box[0] > item.box[2] or item.box[1] > item.box[3]:
             raise SceneError(f"item {idx} of image {scene.image_id!r}: box corners out of order")
+        unknown = _unknown_visibility(item.landmarks[:, 2])
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            raise SceneError(
+                f"item {idx} of image {scene.image_id!r}: landmark {k} has visibility "
+                f"{item.landmarks[k, 2]:g}, not 0, 1 or 2"
+            )
 
 
 def clamp_scene(scene: Scene) -> tuple[Scene, int]:

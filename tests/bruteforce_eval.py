@@ -100,12 +100,11 @@ def _canonical_order(dets) -> list[Detection]:
     return sorted(dets, key=lambda d: (-d.score, d.category_id, *[float(v) for v in d.box], d.landmarks.tobytes()))
 
 
-def evaluate_bruteforce(detections_by_image, scenes, table, thresholds, max_det=100, sigmas=None) -> dict:
+def evaluate_bruteforce(detections_by_image, scenes, table, thresholds, max_det=100) -> dict:
     """Mirror of the fast evaluator's report as a plain nested dict."""
     scenes = sorted(scenes, key=lambda s: s.image_id)
-    sig = np.asarray(table.sigmas if sigmas is None else sigmas, dtype=np.float64)
     sigma_of = {
-        spec.id: sig[spec.global_offset : spec.global_offset + spec.keypoint_count].tolist()
+        spec.id: table.sigmas[spec.global_offset : spec.global_offset + spec.keypoint_count].tolist()
         for spec in table.specs
     }
     categories = [spec.id for spec in table.specs]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,13 +143,30 @@ def test_sigma_validation():
         load_category_table(json.dumps(config_doc(sigmas=[0.05] * 10)))
 
 
-@pytest.mark.parametrize("value", [True, "x", None, [0.05], float("nan"), float("inf"), 0, 10**400],
-                         ids=["true", "string", "null", "list", "nan", "inf", "zero", "beyond-float"])
+@pytest.mark.parametrize("value", [True, "x", None, [0.05], float("nan"), float("inf"), 10**400],
+                         ids=["true", "string", "null", "list", "nan", "inf", "beyond-float"])
 def test_sigma_that_is_no_positive_finite_number_rejected(value):
     sigmas = [0.05] * TOTAL_KEYPOINTS
     sigmas[11] = value
-    with pytest.raises(CategoryConfigError, match=r"^sigmas\[11\] = .* is not a positive finite number$"):
+    with pytest.raises(CategoryConfigError, match=r"^sigmas\[11\] = .* is not a finite number >= 0$"):
         load_category_table(json.dumps(config_doc(sigmas=sigmas)))
+
+
+def test_zero_sigma_loads():
+    # A sigma of 0 scores its landmark only on an exact match.
+    sigmas = [0.05] * TOTAL_KEYPOINTS
+    sigmas[11] = 0
+    table = load_category_table(json.dumps(config_doc(sigmas=sigmas)))
+    assert table.sigmas[11] == 0.0 and table.sigmas.dtype == np.float64
+
+
+def test_replace_stores_sigmas_read_only(table):
+    sigmas = [1] * 200 + [0.0] * 94
+    changed = replace(table, sigmas=sigmas)
+    assert changed.sigmas.dtype == np.float64 and changed.sigmas.tolist() == sigmas
+    assert not changed.sigmas.flags.writeable
+    # A table's own array passes the check again.
+    assert np.array_equal(replace(changed, flip_pairs=()).sigmas, changed.sigmas)
 
 
 def test_integer_sigmas_accepted():

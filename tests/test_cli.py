@@ -429,14 +429,14 @@ class TestEval:
         assert second.read_text() == json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("content,message", [
-        (json.dumps([0.05] * 10), "sigmas must hold 294 values, one per keypoint of the table, got 10"),
-        (json.dumps([0.05] * 400), "got 400 (first bad index 294)"),
-        (json.dumps([0.05] * 293 + [float("nan")]), "sigmas[293] = nan is not a finite non-negative number"),
-        (json.dumps([0.05] * 100 + [-1] + [0.05] * 193), "sigmas[100] = -1.0 is not a finite non-negative number"),
-        (json.dumps({"sigmas": [0.05] * 294}), "sigmas must be a JSON list of numbers"),
-        (json.dumps([0.05] * 293 + ["0.05"]), "sigmas must be a JSON list of numbers"),
-        ("[" + "9" * 400 + "]", "sigmas must be a JSON list of numbers"),
-        ("[0.05,", "sigmas must be a JSON list of numbers"),
+        (json.dumps([0.05] * 10), "sigmas must hold 294 numbers, got 10"),
+        (json.dumps([0.05] * 400), "sigmas must hold 294 numbers, got 400"),
+        (json.dumps([0.05] * 293 + [float("nan")]), "sigmas[293] = nan is not a finite number >= 0"),
+        (json.dumps([0.05] * 100 + [-1] + [0.05] * 193), "sigmas[100] = -1 is not a finite number >= 0"),
+        (json.dumps({"sigmas": [0.05] * 294}), "sigmas must hold 294 numbers, got dict"),
+        (json.dumps([0.05] * 293 + ["0.05"]), "sigmas[293] = '0.05' is not a finite number >= 0"),
+        (json.dumps([0.05] * 293 + [10**400]), "sigmas[293] = 1" + "0" * 400 + " is not a finite number >= 0"),
+        ("[0.05,", "Expecting value"),
     ], ids=["short", "long", "nan", "negative", "object", "string", "huge", "not-json"])
     def test_bad_sigma_file_is_data_error(self, workspace, tmp_path, capsys, content, message):
         sigmas = tmp_path / "sigmas.json"
@@ -444,14 +444,16 @@ class TestEval:
         assert main(["eval", "--detections", str(workspace / "dets.json"),
                      "--scenes", str(workspace / "scenes.json"), "--sigmas", str(sigmas)]) == 2
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert err.startswith(f"error: --sigmas {sigmas}: ") and message in err and err.count("\n") == 1
 
     def test_sigma_file(self, workspace, tmp_path, capsys):
         sigmas = tmp_path / "sigmas.json"
-        sigmas.write_text(json.dumps([0.05] * 294))
-        assert main(["eval", "--detections", str(workspace / "dets.json"),
-                     "--scenes", str(workspace / "scenes.json"), "--sigmas", str(sigmas)]) == 0
-        assert "mAP_pt" in capsys.readouterr().out
+        # A sigma of 0 is valid: its landmark scores only on an exact match.
+        for value in (0.05, 0):
+            sigmas.write_text(json.dumps([value] * 294))
+            assert main(["eval", "--detections", str(workspace / "dets.json"),
+                         "--scenes", str(workspace / "scenes.json"), "--sigmas", str(sigmas)]) == 0
+            assert "mAP_pt" in capsys.readouterr().out
 
     def test_non_integer_category_is_data_error(self, workspace, tmp_path, capsys):
         dets = tmp_path / "dets.json"
@@ -461,6 +463,54 @@ class TestEval:
         err = capsys.readouterr().err
         assert "detections[0].category_id must be an integer" in err
         assert "Traceback" not in err
+
+
+class TestMends:
+    """Inputs that once exited 0 and gave wrong or unreadable output, run through main."""
+
+    @pytest.fixture(scope="class")
+    def seed7(self, tmp_path_factory):
+        """One synth --seed 7 image, its view and detections, and a copy of its scenes with visibility 3 for 2."""
+        root = tmp_path_factory.mktemp("seed7")
+        scenes = str(root / "scenes.json")
+        assert main(["synth", "--out", scenes, "--images", "1", "--seed", "7"]) == 0
+        assert main(["encode", "--scenes", scenes, "--out-dir", str(root / "views")]) == 0
+        assert main(["decode", "--tensors", str(root / "views"), "--out", str(root / "dets.json")]) == 0
+        doc = json.loads((root / "scenes.json").read_text())
+        for item in (item for image in doc["images"] for item in image["items"]):
+            item["landmarks"][2::3] = [3 if v == 2 else v for v in item["landmarks"][2::3]]
+        (root / "vis3.json").write_text(json.dumps(doc))
+        return root
+
+    @pytest.mark.parametrize("case,message", [
+        ("encode-visibility-3", r"^error: images\[0\]: item 0 of image 'synth-0007-0000': landmark \d+ has visibility 3, "
+                                r"not 0, 1 or 2$"),
+        ("eval-visibility-3", r"^error: images\[0\]: item 0 of image 'synth-0007-0000': landmark \d+ has visibility 3, "),
+        ("encode-scale-5", r"^error: .*/synth-0007-0000@s5\.dmrk: tensors hold 369049600 values, more than the 268435456 "
+                           r"a container may declare$"),
+        ("fuse-weights-1e308", None),
+    ])
+    def test_repro(self, seed7, tmp_path, capsys, case, message):
+        view = str(seed7 / "views" / "synth-0007-0000.dmrk")
+        out = tmp_path / "out"
+        argv = {
+            "encode-visibility-3": ["encode", "--scenes", str(seed7 / "vis3.json"), "--out-dir", str(out)],
+            "eval-visibility-3": ["eval", "--detections", str(seed7 / "dets.json"), "--scenes", str(seed7 / "vis3.json"),
+                                  "--out-json", str(out)],
+            "encode-scale-5": ["encode", "--scenes", str(seed7 / "scenes.json"), "--out-dir", str(out), "--scales", "5"],
+            "fuse-weights-1e308": ["fuse", "--inputs", view, view, "--weights", "1e308,1e308", "--out", str(out)],
+        }[case]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if message is None:
+            # Weights whose sum overflows give the shares of equal weights, not an all-zero set.
+            plain = tmp_path / "plain.dmrk"
+            assert code == 0 and main(["fuse", "--inputs", view, view, "--out", str(plain)]) == 0
+            assert out.read_bytes() == plain.read_bytes()
+            return
+        assert code == 2
+        assert err.count("\n") == 1 and re.search(message, err.rstrip("\n"))
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestBenchCommands:

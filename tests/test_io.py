@@ -348,6 +348,17 @@ class TestSparseContainer:
         with pytest.raises(FormatError, match="container declares 5406 values, more than the 3604 allowed"):
             read_tensors(path)
 
+    def test_write_keeps_the_declared_values_bound(self, tmp_path, monkeypatch):
+        # The writer holds the reader's bound, so it never writes a container the reader rejects.
+        path = tmp_path / "t.dmrk"
+        monkeypatch.setattr(fileio, "MAX_VALUES", 901 * 4)
+        write_tensors(path, new_head_tensors(2, 2, 4))
+        assert read_tensors(path).center.shape == (13, 2, 2)
+        path.unlink()
+        with pytest.raises(FormatError, match=r"t\.dmrk: tensors hold 5406 values, more than the 3604 a container may declare"):
+            write_tensors(path, new_head_tensors(2, 3, 4))
+        assert not path.exists()
+
     def test_dense_blocks_are_read_only_views_of_the_file(self, tmp_path, table):
         path = tmp_path / "t.dmrk"
         write_tensors(path, random_tensor_set(seed=11))
@@ -510,6 +521,23 @@ class TestScenesJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=r"images\[0\]: item 0 of image 'a': category 1 needs 25 landmarks"):
             read_scenes(path, table)
+
+    @pytest.mark.parametrize("value", [3, 2.5, -1, -0.5], ids=["3", "2.5", "-1", "-0.5"])
+    def test_visibility_outside_the_scale_is_located(self, tmp_path, table, value):
+        landmarks = [1.0, 2.0, 2.0] * 25
+        landmarks[3 * 6 + 2] = value
+        doc = {"images": [{"image_id": "a", "width": 64, "height": 64, "items": [
+            {"category_id": 1, "bbox": [0, 0, 10, 10], "landmarks": [1.0, 2.0, 1.0] * 25},
+            {"category_id": 1, "bbox": [0, 0, 10, 10], "landmarks": landmarks},
+        ]}]}
+        path = tmp_path / "scenes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"^images\[0\]: item 1 of image 'a': landmark 6 has visibility {value:g}, "
+                                              r"not 0, 1 or 2$"):
+            read_scenes(path, table)
+        landmarks[3 * 6 + 2] = -0.0
+        path.write_text(json.dumps(doc))
+        assert read_scenes(path, table)[0].items[1].landmarks[6, 2] == 0
 
     @pytest.mark.parametrize("side", [10**400, 2**31, True, 64.0], ids=["huge", "2**31", "bool", "float"])
     def test_side_must_be_a_plain_bounded_integer(self, tmp_path, table, side):

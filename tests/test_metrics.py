@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clothdet import (
+    CategoryConfigError,
     Detection,
     EvalConfig,
     GroundTruthItem,
@@ -277,9 +279,8 @@ class TestEvaluate:
 
     def test_modes_agree_without_occlusion(self, table):
         scenes = synth_scenes(SynthParams(seed=9, num_images=4, occlusion_prob=0.0), table)
-        report = evaluate(noisy_detections(scenes, np.random.default_rng(9)), scenes, table)
-        a = report_to_dict(report, mode="visible_only")
-        b = report_to_dict(report, mode="visible_and_occluded")
+        dets = noisy_detections(scenes, np.random.default_rng(9))
+        a, b = (report_to_dict(evaluate(dets, scenes, table, EvalConfig(visibility_mode=mode))) for mode in VISIBILITY_MODES)
         assert a == b
 
     def test_visible_only_superset_data(self, table):
@@ -295,12 +296,14 @@ class TestEvaluate:
         report = evaluate(perfect_detections(scenes), scenes, table,
                           EvalConfig(visibility_mode="visible_only"))
         assert set(report.pt) == {"visible_only"}
+        # A report of one mode serializes its landmark block unlabeled.
+        assert set(report_to_dict(report)["pt"]) == {"map", "map_50", "map_75", "per_category"}
 
     def test_sigma_override_changes_strictness(self, table):
         scenes = synth_scenes(SynthParams(seed=12, num_images=6), table)
         dets = noisy_detections(scenes, np.random.default_rng(12), box_noise=0.0, lm_noise=4.0)
         default = evaluate(dets, scenes, table)
-        strict = evaluate(dets, scenes, table, EvalConfig(sigmas=np.full(294, 0.005)))
+        strict = evaluate(dets, scenes, replace(table, sigmas=np.full(294, 0.005)))
         assert strict.pt["visible_only"].map < default.pt["visible_only"].map
 
     def test_max_detections_cap(self, table):
@@ -375,12 +378,6 @@ class TestSerialization:
         assert set(d["box"]["per_category"]) == {str(i) for i in range(1, 14)}
         assert d["counts"]["images"] == 2
 
-    def test_dict_unknown_mode(self, table):
-        scenes = synth_scenes(SynthParams(seed=14, num_images=1), table)
-        report = evaluate({}, scenes, table)
-        with pytest.raises(EvaluationError, match="visibility mode"):
-            report_to_dict(report, mode="nope")
-
     def test_csv_rows(self, table):
         scenes = synth_scenes(SynthParams(seed=16, num_images=4, occlusion_prob=0.3), table)
         dets = noisy_detections(scenes, np.random.default_rng(16), box_noise=10.0, lm_noise=4.0)
@@ -397,7 +394,8 @@ class TestSerialization:
             ["mAP_pt@0.50", "visible_and_occluded", "0.943423"],
             ["mAP_pt@0.75", "visible_and_occluded", "0.224894"],
         ]
-        assert report_to_csv_rows(report, mode="visible_and_occluded") == [
+        single = evaluate(dets, scenes, table, EvalConfig(visibility_mode="visible_and_occluded"))
+        assert report_to_csv_rows(single) == [
             ["metric", "value"],
             ["mAP_box", "0.662659"],
             ["mAP_box@0.50", "0.971711"],
@@ -413,7 +411,10 @@ TIED_SCORES = (0.25, 0.5, 0.75, 1.0)
 
 
 def identity_case(seed, table):
-    """Scenes, detections and a config that exercise every branch of matching.
+    """Scenes, detections, a config and a table that exercise every branch of matching.
+
+    The table is the given one, or in about a third of the cases a copy
+    with random sigmas, some of them 0.
 
     Two or three categories share the images, so buckets collide; one more
     category draws detections and never has ground truth. GT boxes are
@@ -481,16 +482,14 @@ def identity_case(seed, table):
         if image_dets or rng.random() < 0.5:
             dets[f"img-{i}"] = image_dets
 
-    sigmas = None
     if rng.random() < 0.3:
-        sigmas = rng.uniform(0.01, 0.2, 294) * (rng.random(294) > 0.1)
+        table = replace(table, sigmas=rng.uniform(0.01, 0.2, 294) * (rng.random(294) > 0.1))
     config = EvalConfig(
         thresholds=EvalConfig().thresholds if rng.random() < 0.7 else (0.1, 0.3, 0.5, 0.7),
         visibility_mode=rng.choice([None, "visible_only", "visible_and_occluded"]),
         max_detections_per_image=int(rng.choice([1, 2, 3, 100])),
-        sigmas=sigmas,
     )
-    return scenes, dets, config
+    return scenes, dets, config, table
 
 
 def case_features(scenes, dets, config, table):
@@ -539,7 +538,8 @@ class TestBatchedEvaluatorIdentity:
     def test_cases_cover_every_required_kind(self, table):
         found = set()
         for seed in range(40):
-            found |= case_features(*identity_case(seed, table), table)
+            scenes, dets, config, _ = identity_case(seed, table)
+            found |= case_features(scenes, dets, config, table)
         assert found == {
             "image without detections", "tied scores", "wrong landmark count", "GT-less category with detections",
             "zero-area GT box", "pair with 1-7 counted landmarks", "pair with 8 or more counted landmarks",
@@ -552,13 +552,12 @@ class TestBatchedEvaluatorIdentity:
         # Bit for bit, at every (detection, GT) pair of every bucket: a
         # last-bit difference seldom moves an AP, so the reports alone would
         # not show one.
-        scenes, dets, config = identity_case(seed, table)
-        sigmas = table.sigmas if config.sigmas is None else config.sigmas
+        scenes, dets, config, table = identity_case(seed, table)
         for spec in table.specs:
             buckets = [([d for d in dets.get(s.image_id, []) if d.category_id == spec.id],
                         [g for g in s.items if g.category_id == spec.id]) for s in scenes]
             batch = _CategoryBatch(buckets, spec.keypoint_count)
-            k = sigmas[table.global_slice(spec.id)]
+            k = table.sigmas[table.global_slice(spec.id)]
             matrices = {"box": batch.box_sim(), **{mode: batch.oks_sim(k, mode)[0] for mode in VISIBILITY_MODES}}
             for d, g in zip(batch.pair_det, batch.pair_gt):
                 det, gt = batch.dets[d], batch.gts[g]
@@ -576,7 +575,7 @@ class TestBatchedEvaluatorIdentity:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_reports_and_curves_identical(self, table, seed):
-        scenes, dets, config = identity_case(seed, table)
+        scenes, dets, config, table = identity_case(seed, table)
         assert_same_report(evaluate(dets, scenes, table, config), unbatched_reference.evaluate(dets, scenes, table, config))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -612,21 +611,27 @@ class TestBatchedEvaluatorIdentity:
 
 class TestSigmas:
     @pytest.mark.parametrize("sigmas,message", [
-        (np.full(10, 0.05), r"sigmas must hold 294 values, one per keypoint of the table, got 10 \(first bad index 10\)"),
-        (np.full(400, 0.05), r"sigmas must hold 294 values, one per keypoint of the table, got 400 \(first bad index 294\)"),
-        (np.full((2, 147), 0.05), r"sigmas must be a flat list of 294 values, got shape \(2, 147\)"),
-        (np.r_[np.full(7, 0.05), np.nan, np.full(286, 0.05)], r"sigmas\[7\] = nan is not a finite non-negative number \(need 294"),
-        (np.r_[np.full(290, 0.05), -0.1, np.inf, 0.05, 0.05], r"sigmas\[290\] = -0.1 is not a finite non-negative number"),
-        (np.r_[np.full(290, 0.05), np.inf, 0.05, 0.05, 0.05], r"sigmas\[290\] = inf is not"),
-    ], ids=["short", "long", "2-d", "nan", "negative", "inf"])
+        (np.full(10, 0.05), r"^sigmas must hold 294 numbers, got 10$"),
+        (np.full(400, 0.05), r"^sigmas must hold 294 numbers, got 400$"),
+        (np.full((2, 147), 0.05), r"^sigmas must hold 294 numbers, got 2$"),
+        (np.full((294, 1), 0.05), r"^sigmas\[0\] = \[0\.05\] is not a finite number >= 0$"),
+        (np.array(0.05), r"^sigmas must hold 294 numbers, got float$"),
+        (None, r"^sigmas must hold 294 numbers, got NoneType$"),
+        (np.r_[np.full(7, 0.05), np.nan, np.full(286, 0.05)], r"^sigmas\[7\] = nan is not a finite number >= 0$"),
+        (np.r_[np.full(290, 0.05), -0.1, np.inf, 0.05, 0.05], r"^sigmas\[290\] = -0.1 is not"),
+        (np.r_[np.full(290, 0.05), np.inf, 0.05, 0.05, 0.05], r"^sigmas\[290\] = inf is not"),
+        (np.zeros(294, dtype=bool), r"^sigmas\[0\] = False is not"),
+        ([0.05] * 293 + [np.float32(0.05)], r"^sigmas\[293\] = np\.float32\(0\.05\) is not"),
+    ], ids=["short", "long", "2-d", "column", "scalar", "none", "nan", "negative", "inf", "bool-array", "float32"])
     def test_rejected_where_they_enter_evaluate(self, table, sigmas, message):
-        scenes = synth_scenes(SynthParams(seed=3, num_images=2), table)
-        with pytest.raises(EvaluationError, match=message):
-            evaluate(perfect_detections(scenes), scenes, table, EvalConfig(sigmas=sigmas))
+        # evaluate reads the sigmas of its table, and a table holds only sigmas that passed its one check.
+        with pytest.raises(CategoryConfigError, match=message):
+            replace(table, sigmas=sigmas)
 
     def test_zero_sigmas_match_exactly(self, table):
         scenes = synth_scenes(SynthParams(seed=3, num_images=2), table)
         dets = perfect_detections(scenes)
-        assert evaluate(dets, scenes, table, EvalConfig(sigmas=np.zeros(294))).pt["visible_only"].map == 1.0
+        exact = replace(table, sigmas=np.zeros(294))
+        assert evaluate(dets, scenes, exact).pt["visible_only"].map == 1.0
         shifted = {k: [Detection(d.category_id, d.score, d.box, d.landmarks + (0.01, 0, 0)) for d in v] for k, v in dets.items()}
-        assert evaluate(shifted, scenes, table, EvalConfig(sigmas=np.zeros(294))).pt["visible_only"].map == 0.0
+        assert evaluate(shifted, scenes, exact).pt["visible_only"].map == 0.0

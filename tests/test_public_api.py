@@ -45,13 +45,13 @@ CONFIG_FIELDS = {
         "avoid_cell_boundaries",
     ],
     NoiseParams: ["seed", "dropout_prob", "duplicate_prob"],
-    EvalConfig: ["thresholds", "visibility_mode", "max_detections_per_image", "sigmas"],
+    EvalConfig: ["thresholds", "visibility_mode", "max_detections_per_image"],
 }
 
 
 def test_config_fields_and_noisy_view_signature_are_pinned():
     assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in CONFIG_FIELDS} == CONFIG_FIELDS
-    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 27
+    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 26
     assert list(inspect.signature(clothdet.noisy_view_tensors).parameters) == [
         "scene", "table", "noise", "scale", "flipped",
     ]
@@ -90,6 +90,12 @@ def test_cli_defaults_are_the_config_defaults(argv):
     args = build_parser().parse_args(list(argv))
     parsed = {dest: getattr(args, dest) for dest in CLI_DEFAULTS[argv]}
     assert parsed == {dest: getattr(cls(), field) for dest, (cls, field) in CLI_DEFAULTS[argv].items()}
+
+
+def test_report_functions_take_only_the_report():
+    # A report knows its own landmark mode: one block when evaluate ran with a visibility_mode.
+    for function in (clothdet.report_to_dict, clothdet.report_to_csv_rows):
+        assert list(inspect.signature(function).parameters) == ["report"]
 
 
 def test_cli_subcommands_are_pinned():

@@ -148,7 +148,7 @@ def evaluate(
         if image_id not in known:
             raise EvaluationError(f"detections reference unknown image id {image_id!r}")
 
-    sigmas = table.sigmas if config.sigmas is None else np.asarray(config.sigmas, dtype=np.float64)
+    sigmas = table.sigmas
     categories = [spec.id for spec in table.specs]
     max_det = config.max_detections_per_image
 
